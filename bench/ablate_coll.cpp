@@ -43,7 +43,6 @@ enum class Arm { kBaseline, kBinomial, kFlat, kAutoSel };
 
 caf::Options arm_opts(Arm a) {
   caf::Options o;
-  o.use_native_collectives = false;  // measure the engine on every stack
   switch (a) {
     case Arm::kBaseline:
       o.coll.broadcast = caf::CollAlgo::kBinomial;

@@ -1,11 +1,15 @@
 // Table II: the CAF ↔ OpenSHMEM feature mapping. Prints the table and
 // *executes* each mapping once through the ShmemConduit-backed runtime so a
-// row is only printed if the mapped feature actually works.
+// row is only printed if the mapped feature actually works. The runtime's
+// co_broadcast/co_sum run on the collectives engine, so the two collective
+// rows are also executed as the OpenSHMEM calls themselves
+// (shmem_broadcast, shmem_<op>_to_all) on the stack's shmem::World.
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "apps/driver.hpp"
+#include "caf/shmem_conduit.hpp"
 
 namespace {
 
@@ -48,7 +52,6 @@ int main() {
     auto x = caf::make_coarray<int>(rt, {16, 8});           // allocate
     const int me = rt.this_image();                         // this_image
     const int n = rt.num_images();                          // num_images
-    (void)n;
     for (int j = 1; j <= 8; ++j)
       for (int i = 1; i <= 16; ++i) x(i, j) = me;
     rt.sync_all();                                          // sync all
@@ -75,6 +78,19 @@ int main() {
     all_ok = all_ok && (b == 1);
     std::int64_t s = 1;
     rt.co_sum(&s, 1);                                       // co_sum
+    all_ok = all_ok && (s == n);
+    // The OpenSHMEM side of the two collective rows, on symmetric memory
+    // (a coarray's local storage). Only the root writes the broadcast word:
+    // its put may land before a lagging image gets here.
+    shmem::World& world =
+        dynamic_cast<caf::ShmemConduit&>(rt.conduit()).world();
+    auto sym = caf::make_coarray<std::int64_t>(rt, {2});
+    std::int64_t* word = sym.data();
+    if (me == 3) word[0] = 42;
+    world.broadcast(&word[0], sizeof word[0], /*root=*/2);  // shmem_broadcast
+    word[1] = me;
+    world.reduce(&word[1], &word[1], 1, shmem::ReduceOp::kSum);  // sum_to_all
+    all_ok = all_ok && word[0] == 42 && word[1] == n * (n + 1) / 2;
     caf::CoLock lck = rt.make_lock();
     rt.lock(lck, 1);                                        // remote lock
     rt.unlock(lck, 1);

@@ -16,16 +16,18 @@ cmake -B build-release -S . "${GENERATOR[@]}" -DCMAKE_BUILD_TYPE=Release
 cmake --build build-release -j "$JOBS"
 ctest --test-dir build-release --output-on-failure -j "$JOBS"
 
-echo "=== Sanitize build (ASan/UBSan) + fault/sim-label tests ==="
+echo "=== Sanitize build (ASan/UBSan) + fault/sim/coll-label tests ==="
 # The `sim` label carries the engine-scale tests (16k lazily-stacked fibers,
 # pool recycling, kill-during-lazy-stack); under ASan the fiber layer falls
 # back to the instrumented swapcontext path, so this leg checks both context
-# implementations stay in lockstep.
+# implementations stay in lockstep. The `coll` label carries the collectives
+# engine's conformance tests: the engine is the runtime's only
+# co_broadcast/co_<op> path, in fault-free and resilient runs alike.
 cmake -B build-sanitize -S . "${GENERATOR[@]}" -DCMAKE_BUILD_TYPE=Sanitize
-cmake --build build-sanitize -j "$JOBS" --target test_faults test_sim test_sim_scale test_intranode test_rpc test_rpc_faults test_nonblocking
+cmake --build build-sanitize -j "$JOBS" --target test_faults test_sim test_sim_scale test_intranode test_rpc test_rpc_faults test_nonblocking test_coll
 ASAN_OPTIONS=${ASAN_OPTIONS:-detect_leaks=1:strict_string_checks=1} \
 UBSAN_OPTIONS=${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1} \
-  ctest --test-dir build-sanitize -L "faults|sim|intranode|rpc" --output-on-failure -j "$JOBS"
+  ctest --test-dir build-sanitize -L "faults|sim|intranode|rpc|coll" --output-on-failure -j "$JOBS"
 
 echo "=== Bench smoke: RMA pipeline ==="
 # Exercise the put-bandwidth harness (including the CAF aggregation panels)

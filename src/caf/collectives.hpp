@@ -81,17 +81,10 @@ enum class CollAlgo {
 struct CollOptions {
   CollAlgo broadcast = CollAlgo::kAuto;  ///< force a broadcast arm
   CollAlgo reduce = CollAlgo::kAuto;     ///< force a reduction arm
-  int knomial_radix = 4;                 ///< inter-node leader-tree radix
-  std::size_t rd_max_bytes = 2048;       ///< recursive-doubling payload cap
-  std::size_t pipe_chunk = 8192;         ///< pipelined segment size
-  int pipe_depth = 4;                    ///< in-flight segments per tree edge
   /// Data put followed by flag put with no quiet between them (per-target
   /// completion via in-order same-pair delivery). False restores the
   /// pre-engine put+quiet+flag sequence — the ablation baseline.
   bool per_target_completion = true;
-  /// Use the node map at all; false treats the machine as flat (every image
-  /// its own node), which disables the two-level arms.
-  bool hierarchical = true;
 };
 
 /// Per-image engine counters (tests/benches verify the message-locality and
@@ -118,7 +111,7 @@ class CollectiveEngine {
   void init();
 
   /// Whole-payload broadcast from 0-based `root0`; the engine owns chunking
-  /// and, above pipe_chunk, pipelining.
+  /// and, above kPipeChunk, pipelining.
   void broadcast(void* data, std::size_t nbytes, int root0);
 
   /// Whole-payload allreduce; `comb(a, b)` folds one element `b` into `a`
@@ -162,6 +155,14 @@ class CollectiveEngine {
   /// Broadcast-slot ring depth == generations allowed between window
   /// barriers (see next_bc_gen()).
   static constexpr int kBcBanks = 8;
+  /// Inter-node leader-tree radix.
+  static constexpr int kKnomialRadix = 4;
+  /// Recursive-doubling (and two-level gather) payload cap per chunk.
+  static constexpr std::size_t kRdMaxBytes = 2048;
+  /// Pipelined segment size.
+  static constexpr std::size_t kPipeChunk = 8192;
+  /// In-flight pipelined segments per tree edge.
+  static constexpr int kPipeDepth = 4;
 
  private:
   struct PerRank {
@@ -243,7 +244,7 @@ class CollectiveEngine {
                     const std::function<void(void*, const void*)>& comb,
                     std::int64_t gen);
 
-  // ---- pipelined arms (payload > pipe_chunk) ----
+  // ---- pipelined arms (payload > kPipeChunk) ----
   /// Contiguous-range binary tree: subtree over [lo,hi] is rooted at lo,
   /// children cover [lo+1,mid] and [mid+1,hi]. Ranges are contiguous, so
   /// subtrees cluster on nodes (ranks are node-contiguous) and a parent
@@ -280,26 +281,26 @@ class CollectiveEngine {
   }
   std::uint64_t gather_slot(int idx) const {
     return gather_slot_off_ +
-           static_cast<std::uint64_t>(idx) * opts_.rd_max_bytes;
+           static_cast<std::uint64_t>(idx) * kRdMaxBytes;
   }
   std::uint64_t gather_flag(int idx) const {
     return gather_flag_off_ + static_cast<std::uint64_t>(idx) * 8;
   }
   std::uint64_t rd_slot(int r) const {
-    return rd_slot_off_ + static_cast<std::uint64_t>(r) * opts_.rd_max_bytes;
+    return rd_slot_off_ + static_cast<std::uint64_t>(r) * kRdMaxBytes;
   }
   std::uint64_t rd_flag(int r) const {
     return rd_flag_off_ + static_cast<std::uint64_t>(r) * 8;
   }
   std::uint64_t pd_bank(int slot) const {
-    return pd_bank_off_ + static_cast<std::uint64_t>(slot) * opts_.pipe_chunk;
+    return pd_bank_off_ + static_cast<std::uint64_t>(slot) * kPipeChunk;
   }
   std::uint64_t pu_bank(int child, int slot) const {
     return pu_bank_off_ +
            (static_cast<std::uint64_t>(child) *
-                static_cast<std::uint64_t>(opts_.pipe_depth) +
+                static_cast<std::uint64_t>(kPipeDepth) +
             static_cast<std::uint64_t>(slot)) *
-               opts_.pipe_chunk;
+               kPipeChunk;
   }
 
   Conduit& conduit_;

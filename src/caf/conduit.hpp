@@ -13,7 +13,8 @@
 //   * 64-bit remote atomics                 (§IV-D locks; conduits without
 //     native atomics emulate them, at a cost);
 //   * local wait on a symmetric 64-bit word (MCS spin-on-local);
-//   * barrier, and optionally native broadcast/reduction.
+//   * barrier. Collectives are built above the conduit from these
+//     primitives (caf::CollectiveEngine).
 //
 // All offsets are into the conduit's symmetric segment; CAF image indices
 // here are 0-based ranks (the Runtime converts to CAF's 1-based images).
@@ -199,16 +200,6 @@ class Conduit {
     obs::Span sp(obs::Cat::kBarrier);
     do_barrier();
   }
-
-  // ---- optional native collectives (Table II: co_broadcast →
-  //      shmem_broadcast, co_<op> → shmem_<op>_to_all) ----
-  virtual bool has_native_collectives() const { return false; }
-  virtual void native_broadcast(std::uint64_t /*off*/, std::size_t /*nbytes*/,
-                                int /*root*/) {}
-  virtual void native_reduce_f64(std::uint64_t /*off*/, std::size_t /*nelems*/,
-                                 ReduceOp /*op*/) {}
-  virtual void native_reduce_i64(std::uint64_t /*off*/, std::size_t /*nelems*/,
-                                 ReduceOp /*op*/) {}
 
  protected:
   // ---- RMA hooks implemented by each conduit ----

@@ -8,8 +8,8 @@
 //   * the managed buffer ("slab") for non-symmetric remotely-accessible
 //     data, out of which MCS-lock qnodes are carved (§IV-A, §IV-D);
 //   * sync_images counters (one int64 per partner image);
-//   * staging slots + flags for the one-sided broadcast/reduction
-//     implementation (paper footnote 1);
+//   * the collectives engine's staging slots and flags (paper footnote 1:
+//     collectives built from one-sided puts plus flag waits);
 //   * the qnode hash table for currently-held locks.
 //
 // Image indices in the public API are 1-based, as in Fortran.
@@ -71,8 +71,6 @@ struct RmaOptions {
   /// Coalesce small puts to the same image into a staging chunk carved from
   /// the managed slab, shipped as one scatter message (needs kDeferred).
   bool write_combining = false;
-  std::size_t agg_chunk_bytes = 4096;  ///< staging watermark per image
-  std::size_t agg_max_put = 512;       ///< larger puts bypass the stage
   /// Merge adjacent innermost runs in strided transfers into one message.
   bool run_coalescing = true;
 };
@@ -81,6 +79,10 @@ struct RmaOptions {
 /// check, a descriptor store, and a short memcpy). Shared with the §VII
 /// planner so the aggregated plan prices its staging honestly.
 inline constexpr sim::Time kAggStageCpuNs = 15;
+/// Write-combining staging watermark per image (bytes).
+inline constexpr std::size_t kAggChunkBytes = 4096;
+/// Puts larger than this bypass the write-combining stage (bytes).
+inline constexpr std::size_t kAggMaxPut = 512;
 
 class RpcEngine;
 
@@ -106,13 +108,6 @@ struct RpcOptions {
 struct Options {
   StridedAlgo strided = StridedAlgo::kTwoDim;
   MemoryModel memory_model = MemoryModel::kStrict;
-  /// Dispatch co_broadcast/co_* to the conduit's Table II native mappings
-  /// (shmem_broadcast / <op>_to_all) instead of the topology-aware engine.
-  /// Off by default: the engine's node-leader trees beat the flat native
-  /// models at scale on every conduit (see bench/ablate_coll and the fig10
-  /// Himeno series); the native path stays available for comparison and is
-  /// still what resilient-mode collectives fall back to.
-  bool use_native_collectives = false;
   std::size_t nonsym_slab_bytes = 256 * 1024;
   RmaOptions rma;
   CollOptions coll;  ///< hierarchical collectives engine tuning
@@ -164,7 +159,7 @@ struct ImageStats {
   std::uint64_t gets = 0;
   std::uint64_t strided_puts = 0;   // 1-D iput calls issued
   std::uint64_t strided_gets = 0;
-  std::uint64_t amos = 0;
+  std::uint64_t amos = 0;           // atomic_* intrinsic calls
   std::uint64_t put_bytes = 0;
   std::uint64_t get_bytes = 0;
   std::uint64_t locks_acquired = 0;
@@ -487,8 +482,10 @@ class Runtime {
   /// Completion point: flush the write-combining chunk, then complete every
   /// outstanding nbi put. Cheap no-op when nothing is in flight.
   void rma_fence();
-  /// Strict-mode atomics are completion points (see the atomic_* wrappers).
+  /// Entry of every atomic_* intrinsic: counts the call, and in strict mode
+  /// makes it a completion point (see the atomic_* wrappers).
   void atomic_boundary() {
+    ++per_image_[me()].stats.amos;
     if (opts_.memory_model == MemoryModel::kStrict) rma_fence();
   }
   /// Ship the staged records as one scatter message; no-op when empty.
@@ -542,6 +539,12 @@ class Runtime {
   int team_coll_bytes(const Team& team, void* data, std::size_t nbytes,
                       const std::function<void(void*, const void*)>& comb,
                       int root_image);
+  /// Resilient-mode result distribution shared by team_broadcast_bytes and
+  /// team_coll_bytes: the root stages its `data` in its team slot and every
+  /// live member ends with a copy (tree push, else a pull from the root
+  /// slot). Returns `stat`, or kStatFailedImage if a member failed.
+  int team_distribute(const Team& team, void* data, std::size_t nbytes,
+                      int root0, int stat);
 
   // ---- membership-epoch tree distribution for team collectives ----
   /// The tree plan for the team's live members under the current membership
@@ -565,13 +568,8 @@ class Runtime {
   void team_tree_forward(const TreePlan& plan, const void* data,
                          std::size_t nbytes);
 
-  // Generic one-sided collective machinery (staged through internal slots).
-  void coll_broadcast_bytes(void* data, std::size_t nbytes, int root0);
-  void coll_reduce_bytes(void* data, std::size_t nelems, std::size_t elem,
-                         const std::function<void(void*, const void*)>& comb);
-  /// Whole-payload broadcast/allreduce dispatch: the conduit's native
-  /// collective (Table II) when enabled, else the hierarchical engine, else
-  /// the legacy chunked binomial path.
+  /// Whole-payload broadcast/allreduce over the collectives engine, wrapped
+  /// in the runtime's completion and RPC-progress point.
   void broadcast_bytes_any(void* data, std::size_t nbytes, int root0);
   void allreduce_bytes_any(void* data, std::size_t nelems, std::size_t elem,
                            const std::function<void(void*, const void*)>& comb);
@@ -587,8 +585,6 @@ class Runtime {
   // Internal symmetric offsets (identical across images).
   std::uint64_t slab_off_ = 0;       // non-symmetric managed buffer
   std::uint64_t sync_ctrs_off_ = 0;  // num_images int64 counters
-  std::uint64_t coll_flags_off_ = 0; // kMaxRounds + 1 int64 flags
-  std::uint64_t coll_slot_off_ = 0;  // kSlotBytes staging area
   std::uint64_t critical_off_ = 0;   // global critical-section lock tail
   std::uint64_t syncall_ctrs_off_ = 0;  // num_images int64 sync-all counters
   bool sync_offsets_ready_ = false;     // init() finished allocating above
@@ -601,8 +597,6 @@ class Runtime {
 
   // Team facility offsets (allocated by init() only in resilient mode).
   std::uint64_t team_ctrs_off_ = 0;      // num_images pairwise sync counters
-  std::uint64_t team_flag_off_ = 0;      // collective result-ready flag
-  std::uint64_t team_coll_ctr_off_ = 0;  // root-side contribution counter
   std::uint64_t team_slots_off_ = 0;     // num_images * kTeamChunk gather area
   // Tree-distribution staging: one payload slot and one mark cell per
   // *sender*, so concurrent pushes from different tree levels never collide
@@ -610,8 +604,6 @@ class Runtime {
   std::uint64_t tree_slots_off_ = 0;     // num_images * kTeamChunk
   std::uint64_t tree_marks_off_ = 0;     // num_images int64 mark cells
 
-  static constexpr int kMaxRounds = 16;
-  static constexpr std::size_t kSlotBytes = 8192;
   static constexpr std::size_t kTeamChunk = 1024;
   /// Poked into a survivor's sync-all slot for a dead image: large enough
   /// to satisfy any round's `>= round` wait, and an in-flight fadd merely
@@ -632,7 +624,6 @@ class Runtime {
     /// round (the first probe sends; later probes only poll).
     std::unordered_map<int, bool> sync_probe_pending;
     std::unordered_map<std::uint64_t, std::int64_t> event_consumed;
-    std::int64_t coll_gen = 0;
     std::int64_t syncall_round = 0;  // rounds of sync_all_stat completed
     ImageStats stats;
     // --- resilient-mode state ---

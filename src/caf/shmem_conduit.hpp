@@ -8,7 +8,10 @@
 //   atomics             → shmem_swap/cswap/fadd/and/or/xor
 //   wait                → shmem_wait_until
 //   barrier             → shmem_barrier_all
-//   co_broadcast/co_op  → shmem_broadcast / shmem_<op>_to_all
+//
+// Table II's collective rows (co_broadcast/co_<op> → shmem_broadcast /
+// shmem_<op>_to_all) are reachable through world(); the runtime itself runs
+// its collectives on caf::CollectiveEngine over the primitives above.
 #pragma once
 
 #include <cstring>
@@ -85,22 +88,6 @@ class ShmemConduit final : public Conduit {
   }
 
   fabric::Domain* rma_domain() override { return &world_.domain(); }
-
-  bool has_native_collectives() const override { return true; }
-  void native_broadcast(std::uint64_t off, std::size_t nbytes,
-                        int root) override {
-    world_.broadcast(local_addr(off), nbytes, root);
-  }
-  void native_reduce_f64(std::uint64_t off, std::size_t nelems,
-                         ReduceOp op) override {
-    auto* p = reinterpret_cast<double*>(local_addr(off));
-    world_.reduce(p, p, nelems, op);
-  }
-  void native_reduce_i64(std::uint64_t off, std::size_t nelems,
-                         ReduceOp op) override {
-    auto* p = reinterpret_cast<std::int64_t*>(local_addr(off));
-    world_.reduce(p, p, nelems, op);
-  }
 
   shmem::World& world() { return world_; }
 

@@ -52,7 +52,6 @@ struct NodeTransportOptions {
   bool enabled = false;
   int ring_slots = 64;               ///< slots per SPSC ring (>= 2)
   std::size_t slot_bytes = 128;      ///< payload per slot (one padded line pair)
-  std::size_t ring_max_bytes = 512;  ///< messages <= this ride the ring
   NumaPlacement placement = NumaPlacement::kLocalDomain;
 };
 
@@ -85,6 +84,9 @@ class NodeChannel {
   static constexpr sim::Time kAmoRmw = 30;
   /// Per-element pointer arithmetic of software strided/scatter loops.
   static constexpr sim::Time kElemGap = 2;
+  /// Messages of at most this many bytes ride the SPSC ring; larger ones
+  /// take the bulk-copy path.
+  static constexpr std::size_t kRingMaxBytes = 512;
 
   NodeChannel(const MachineProfile& machine, int npes,
               NodeTransportOptions opts);
@@ -137,7 +139,7 @@ class NodeChannel {
            static_cast<sim::Time>(nrecs) * kElemGap;
   }
 
-  bool ring_eligible(std::size_t n) const { return n <= opts_.ring_max_bytes; }
+  bool ring_eligible(std::size_t n) const { return n <= kRingMaxBytes; }
   int slots_for(std::size_t n) const {
     const auto s = (n + opts_.slot_bytes - 1) / opts_.slot_bytes;
     return s == 0 ? 1 : static_cast<int>(s);

@@ -20,7 +20,6 @@ namespace {
 
 caf::Options coll_opts(CollAlgo bcast, CollAlgo red) {
   caf::Options o;
-  o.use_native_collectives = false;  // always exercise the engine
   o.coll.broadcast = bcast;
   o.coll.reduce = red;
   return o;
@@ -158,24 +157,47 @@ TEST_P(CollConformance, ReduceArmsMatchRankOrderFold) {
 }
 
 TEST_P(CollConformance, CoSumThroughRuntimeMatchesExact) {
-  // The rerouted co_sum template over the auto-selected arm: exactly
-  // representable doubles make any associative fold order bit-identical.
+  // co_sum and co_broadcast through the runtime over the auto-selected
+  // arms: exactly representable doubles make any associative fold order
+  // bit-identical. The second run arms a kill scheduled long after the body
+  // ends, so the runtime is in resilient mode (kills armed) while no image
+  // dies mid-collective: the engine is the collective path there too.
   constexpr std::size_t kN = 1'500;  // 12 KB: forces the pipelined path
+  constexpr std::size_t kB = 100;
   const int images = 18;
-  Harness h(GetParam(), images, coll_opts(CollAlgo::kAuto, CollAlgo::kAuto));
-  h.run([&] {
-    auto& rt = h.rt();
-    std::vector<double> data(kN);
-    for (std::size_t i = 0; i < kN; ++i) {
-      data[i] = rt.this_image() * 1.5 + static_cast<double>(i % 7);
-    }
-    rt.co_sum(data.data(), kN);
-    const double ranksum = 1.5 * images * (images + 1) / 2;
-    for (std::size_t i = 0; i < kN; ++i) {
-      ASSERT_EQ(data[i], ranksum + images * static_cast<double>(i % 7));
-    }
-    rt.sync_all();
-  });
+  const int root = 6;  // a non-first root
+  net::FaultPlan late_kill;
+  late_kill.kill_pe(images - 1, 50'000'000);  // 50 ms
+  for (const net::FaultPlan& plan : {net::FaultPlan{}, late_kill}) {
+    Harness h(GetParam(), images, coll_opts(CollAlgo::kAuto, CollAlgo::kAuto),
+              2 << 20, plan);
+    h.run([&] {
+      auto& rt = h.rt();
+      EXPECT_EQ(h.engine().kills_armed(), plan.active());
+      std::vector<double> data(kN);
+      for (std::size_t i = 0; i < kN; ++i) {
+        data[i] = rt.this_image() * 1.5 + static_cast<double>(i % 7);
+      }
+      rt.co_sum(data.data(), kN);
+      const double ranksum = 1.5 * images * (images + 1) / 2;
+      for (std::size_t i = 0; i < kN; ++i) {
+        ASSERT_EQ(data[i], ranksum + images * static_cast<double>(i % 7));
+      }
+      std::vector<std::int64_t> b(kB);
+      for (std::size_t i = 0; i < kB; ++i) {
+        b[i] = rt.this_image() == root ? bcast_val(root - 1, i) : -1;
+      }
+      rt.co_broadcast(b.data(), kB, root);
+      for (std::size_t i = 0; i < kB; ++i) {
+        ASSERT_EQ(b[i], bcast_val(root - 1, i)) << "i=" << i;
+      }
+      const auto& tele = rt.coll_engine()->telemetry();
+      EXPECT_EQ(tele.reductions, 1u);
+      EXPECT_EQ(tele.broadcasts, 1u);
+      rt.sync_all();
+      EXPECT_TRUE(rt.failed_images().empty());  // the kill comes later
+    });
+  }
 }
 
 TEST(CollEngine, SelectorPricesFromProfile) {

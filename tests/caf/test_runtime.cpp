@@ -159,6 +159,7 @@ TEST_P(RuntimeAllStacks, AtomicsAcrossImages) {
   Harness h(GetParam(), 10);
   h.run([&] {
     AtomicCell cell(h.rt());
+    h.rt().reset_stats();
     (void)cell.fetch_add(1, 5);
     h.rt().sync_all();
     if (h.rt().this_image() == 1) {
@@ -172,6 +173,9 @@ TEST_P(RuntimeAllStacks, AtomicsAcrossImages) {
       EXPECT_EQ(cell.ref(3), 12345);
     }
     h.rt().sync_all();
+    // ImageStats::amos counts one per atomic_* intrinsic call: every image
+    // did one fetch_add; images 1-3 also did one ref or define.
+    EXPECT_EQ(h.rt().stats().amos, h.rt().this_image() <= 3 ? 2u : 1u);
   });
 }
 
@@ -268,47 +272,40 @@ TEST(Runtime, CoBroadcastLargePayloadChunks) {
 TEST(Runtime, CoBroadcastWithSkewedArrival) {
   // Regression: images reaching co_broadcast late (e.g. after contended
   // atomics serialized them) must not overwrite broadcast data that already
-  // landed in their staging slot. Both the native and generic paths.
-  for (bool native : {true, false}) {
-    caf::Options opts;
-    opts.use_native_collectives = native;
-    Harness h(Stack::kShmemCray, 8, opts);
-    h.run([&] {
-      AtomicCell cell(h.rt());
-      (void)cell.fetch_add(1, 5);  // serializes at image 1: images skew
-      int b = h.rt().this_image();
-      h.rt().co_broadcast(&b, 1, 1);
-      EXPECT_EQ(b, 1) << "native=" << native << " image "
-                      << h.rt().this_image();
-      // And a second broadcast from a different, late source.
-      double d[3] = {0, 0, 0};
-      if (h.rt().this_image() == 7) {
-        d[0] = 1.5;
-        d[1] = -2.5;
-        d[2] = 99.0;
-      }
-      h.rt().co_broadcast(d, 3, 7);
-      EXPECT_DOUBLE_EQ(d[0], 1.5);
-      EXPECT_DOUBLE_EQ(d[2], 99.0);
-      h.rt().sync_all();
-    });
-  }
+  // landed in their staging slot.
+  Harness h(Stack::kShmemCray, 8);
+  h.run([&] {
+    AtomicCell cell(h.rt());
+    (void)cell.fetch_add(1, 5);  // serializes at image 1: images skew
+    int b = h.rt().this_image();
+    h.rt().co_broadcast(&b, 1, 1);
+    EXPECT_EQ(b, 1) << "image " << h.rt().this_image();
+    // And a second broadcast from a different, late source.
+    double d[3] = {0, 0, 0};
+    if (h.rt().this_image() == 7) {
+      d[0] = 1.5;
+      d[1] = -2.5;
+      d[2] = 99.0;
+    }
+    h.rt().co_broadcast(d, 3, 7);
+    EXPECT_DOUBLE_EQ(d[0], 1.5);
+    EXPECT_DOUBLE_EQ(d[2], 99.0);
+    h.rt().sync_all();
+  });
 }
 
-TEST(Runtime, NativeAndGenericCollectivesAgree) {
-  for (bool native : {true, false}) {
-    caf::Options opts;
-    opts.use_native_collectives = native;
-    Harness h(Stack::kShmemMvapich, 7, opts);
-    h.run([&] {
-      double v = h.rt().this_image() * 1.25;
-      h.rt().co_sum(&v, 1);
-      EXPECT_DOUBLE_EQ(v, 1.25 * (7 * 8 / 2));
-      int b = h.rt().this_image() == 3 ? 99 : 0;
-      h.rt().co_broadcast(&b, 1, 3);
-      EXPECT_EQ(b, 99);
-    });
-  }
+TEST(Runtime, ScalarCoSumAndMidRootBroadcast) {
+  // A scalar co_sum and a co_broadcast from a non-first root at a
+  // non-power-of-two image count.
+  Harness h(Stack::kShmemMvapich, 7);
+  h.run([&] {
+    double v = h.rt().this_image() * 1.25;
+    h.rt().co_sum(&v, 1);
+    EXPECT_DOUBLE_EQ(v, 1.25 * (7 * 8 / 2));
+    int b = h.rt().this_image() == 3 ? 99 : 0;
+    h.rt().co_broadcast(&b, 1, 3);
+    EXPECT_EQ(b, 99);
+  });
 }
 
 TEST(Runtime, RequiresInit) {
