@@ -16,18 +16,21 @@ cmake -B build-release -S . "${GENERATOR[@]}" -DCMAKE_BUILD_TYPE=Release
 cmake --build build-release -j "$JOBS"
 ctest --test-dir build-release --output-on-failure -j "$JOBS"
 
-echo "=== Sanitize build (ASan/UBSan) + fault/sim/coll-label tests ==="
+echo "=== Sanitize build (ASan/UBSan) + fault/sim/coll/lib-label tests ==="
 # The `sim` label carries the engine-scale tests (16k lazily-stacked fibers,
 # pool recycling, kill-during-lazy-stack); under ASan the fiber layer falls
 # back to the instrumented swapcontext path, so this leg checks both context
 # implementations stay in lockstep. The `coll` label carries the collectives
 # engine's conformance tests: the engine is the runtime's only
-# co_broadcast/co_<op> path, in fault-free and resilient runs alike.
+# co_broadcast/co_<op> path, in fault-free and resilient runs alike. The
+# `lib` label carries the five libraries' own tests and the Domain's: the
+# shared wait table and collective-allocation log live there.
 cmake -B build-sanitize -S . "${GENERATOR[@]}" -DCMAKE_BUILD_TYPE=Sanitize
-cmake --build build-sanitize -j "$JOBS" --target test_faults test_sim test_sim_scale test_intranode test_rpc test_rpc_faults test_nonblocking test_coll
+cmake --build build-sanitize -j "$JOBS" --target test_faults test_sim test_sim_scale test_intranode test_rpc test_rpc_faults test_nonblocking test_coll \
+  test_fabric test_shmem test_gasnet test_mpi3 test_armci test_craycaf
 ASAN_OPTIONS=${ASAN_OPTIONS:-detect_leaks=1:strict_string_checks=1} \
 UBSAN_OPTIONS=${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1} \
-  ctest --test-dir build-sanitize -L "faults|sim|intranode|rpc|coll" --output-on-failure -j "$JOBS"
+  ctest --test-dir build-sanitize -L "faults|sim|intranode|rpc|coll|lib" --output-on-failure -j "$JOBS"
 
 echo "=== Bench smoke: RMA pipeline ==="
 # Exercise the put-bandwidth harness (including the CAF aggregation panels)

@@ -2,10 +2,7 @@
 
 #include <cassert>
 #include <cstring>
-#include <new>
 #include <stdexcept>
-
-#include "shmem/heap.hpp"
 
 namespace armci {
 
@@ -17,13 +14,9 @@ World::World(sim::Engine& engine, net::Fabric& fabric, net::SwProfile sw,
   }
   domain_ = std::make_unique<fabric::Domain>(engine, fabric, std::move(sw),
                                              seg_bytes);
-  domain_->set_write_hook([this](const fabric::WriteEvent& ev) { on_write(ev); });
   const std::uint64_t base = (reserved_bytes() + 15) & ~std::uint64_t{15};
-  alloc_bump_ = base;
-  allocator_ = std::make_unique<shmem::FreeListAllocator>(base,
-                                                          seg_bytes - base);
-  alloc_cursor_.assign(domain_->npes(), 0);
-  watchers_.resize(domain_->npes());
+  heap_ = std::make_unique<shmem::CollectiveAllocLog>(domain_->npes(), base,
+                                                      seg_bytes - base);
   barrier_gen_.assign(domain_->npes(), 0);
   mutex_created_.assign(domain_->npes(), 0);
 }
@@ -41,39 +34,13 @@ int World::me() const {
 }
 
 std::uint64_t World::malloc_collective(std::size_t bytes) {
-  const int r = me();
-  const std::size_t cursor = alloc_cursor_[r];
-  if (cursor == alloc_log_.size()) {
-    auto got = allocator_->allocate(bytes);
-    // Failures are logged too (result = kAllocFailed) so replaying ranks
-    // observe the same failure at the same op index; later, smaller
-    // allocations still succeed.
-    alloc_log_.push_back({false, bytes, got ? *got : kAllocFailed});
-  }
-  alloc_cursor_[r] = cursor + 1;
-  const AllocOp op = alloc_log_[cursor];  // copy: log grows during barrier
-  if (op.is_free || op.arg != bytes) {
-    throw std::logic_error("ARMCI_Malloc: collective mismatch");
-  }
-  if (op.result == kAllocFailed) {
-    throw shmem::HeapExhaustedError("ARMCI_Malloc", bytes,
-                                    allocator_->bytes_in_use(),
-                                    allocator_->capacity());
-  }
+  const std::uint64_t off = heap_->allocate(me(), bytes, "ARMCI_Malloc");
   barrier();
-  return op.result;
+  return off;
 }
 
 void World::free_collective(std::uint64_t off) {
-  const std::size_t cursor = alloc_cursor_[me()]++;
-  if (cursor == alloc_log_.size()) {
-    allocator_->release(off);
-    alloc_log_.push_back({true, off, 0});
-  }
-  const AllocOp op = alloc_log_[cursor];
-  if (!op.is_free || op.arg != off) {
-    throw std::logic_error("ARMCI_Free: collective mismatch");
-  }
+  heap_->release(me(), off, "ARMCI_Free");
   barrier();
 }
 
@@ -207,40 +174,6 @@ void World::unlock(int mutex, int proc) {
   const std::uint64_t off =
       mutex_off_ + static_cast<std::uint64_t>(mutex) * sizeof(std::int64_t);
   (void)rmw_fetch_add(proc, off, 1);
-}
-
-void World::wait_local_ge(std::uint64_t off, std::int64_t value) {
-  wait_until_local(off, [value](std::int64_t v) { return v >= value; });
-}
-
-void World::wait_until_local(std::uint64_t off,
-                             const std::function<bool(std::int64_t)>& pred) {
-  const int r = me();
-  auto load = [&] {
-    std::int64_t v = 0;
-    std::memcpy(&v, domain_->segment(r) + off, sizeof v);
-    return v;
-  };
-  while (!pred(load())) {
-    watchers_[r].push_back({off, engine_.current_fiber()});
-    engine_.current_fiber()->set_block_op("armci_wait_until");
-    engine_.block();
-  }
-}
-
-void World::on_write(const fabric::WriteEvent& ev) {
-  auto& list = watchers_[ev.pe];
-  if (list.empty()) return;
-  std::vector<sim::Fiber*> wake;
-  for (auto it = list.begin(); it != list.end();) {
-    if (it->off >= ev.offset && it->off < ev.offset + ev.len) {
-      wake.push_back(it->fiber);
-      it = list.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (sim::Fiber* f : wake) engine_.resume(*f, ev.time);
 }
 
 void World::barrier() {

@@ -102,35 +102,22 @@ class World {
   // ---- barrier (ARMCI relies on the host runtime; provided for tests) ----
   void barrier();
 
-  /// Blocks until the int64 at `off` in the local segment satisfies `pred`
-  /// (woken by remote deliveries; used by layered runtimes).
-  void wait_until_local(std::uint64_t off,
-                        const std::function<bool(std::int64_t)>& pred);
+  /// Blocks until the int64 at `off` in the local segment satisfies
+  /// `cmp`/`value` (woken by remote deliveries; used by layered runtimes).
+  void wait_until_local(std::uint64_t off, fabric::Cmp cmp,
+                        std::int64_t value) {
+    domain_->wait_until(off, cmp, value, "armci_wait_until");
+  }
 
  private:
-  struct Watcher {
-    std::uint64_t off;
-    sim::Fiber* fiber;
-  };
-  void wait_local_ge(std::uint64_t off, std::int64_t value);
-  void on_write(const fabric::WriteEvent& ev);
+  void wait_local_ge(std::uint64_t off, std::int64_t value) {
+    wait_until_local(off, fabric::Cmp::kGe, value);
+  }
 
   sim::Engine& engine_;
   std::unique_ptr<fabric::Domain> domain_;
-
-  // collective allocation replay (ARMCI_Malloc is collective)
-  std::uint64_t alloc_bump_;
-  struct AllocOp {
-    bool is_free;
-    std::uint64_t arg;
-    std::uint64_t result;  // offset, or kAllocFailed when the alloc failed
-  };
-  static constexpr std::uint64_t kAllocFailed = ~std::uint64_t{0};
-  std::vector<AllocOp> alloc_log_;
-  std::vector<std::size_t> alloc_cursor_;
-  std::unique_ptr<shmem::FreeListAllocator> allocator_;
-
-  std::vector<std::vector<Watcher>> watchers_;
+  /// Collective allocation replay (ARMCI_Malloc is collective).
+  std::unique_ptr<shmem::CollectiveAllocLog> heap_;
   std::vector<std::int64_t> barrier_gen_;
   std::uint64_t barrier_flags_off_ = 0;
   std::uint64_t mutex_off_ = 0;  // packed ticket words, one per mutex

@@ -48,11 +48,6 @@ class ArmciConduit final : public Conduit {
     world_.free_collective(offset);
   }
 
-  void poke(int rank, std::uint64_t off, const void* src, std::size_t n,
-            sim::Time t) override {
-    world_.domain().poke(rank, off, src, n, t);
-  }
-
   // ARMCI_Rmw only offers fetch-add and swap. The CAF runtime mixes swap,
   // fetch-add, and compare-swap on the SAME words (the MCS tail), and a
   // native Rmw is not atomic with respect to a mutex-emulated one — so ALL
@@ -76,7 +71,6 @@ class ArmciConduit final : public Conduit {
     return emulated_rmw(rank, off, [m](std::int64_t v) { return v ^ m; });
   }
 
-  void wait_until(std::uint64_t off, Cmp cmp, std::int64_t value) override;
   void do_barrier() override { world_.barrier(); }
 
   bool direct_reachable(int target) override {

@@ -171,8 +171,7 @@ double CollectiveEngine::inter_hop(std::size_t nbytes) const {
 
 double CollectiveEngine::intra_hop(std::size_t nbytes) const {
   const net::SwProfile& sw = conduit_.sw();
-  fabric::Domain* d = conduit_.rma_domain();
-  if (d != nullptr && d->node_transport() != nullptr) {
+  if (conduit_.rma_domain()->node_transport() != nullptr) {
     // Node-local shared-segment transport: an intra-node stage is a ring
     // handoff plus a NUMA-local copy, not a library put through the NIC
     // loopback. Priced optimistically at the local-domain rates — the

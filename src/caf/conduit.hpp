@@ -12,7 +12,9 @@
 //     hardware-offloaded or a software loop, the conduit decides);
 //   * 64-bit remote atomics                 (§IV-D locks; conduits without
 //     native atomics emulate them, at a cost);
-//   * local wait on a symmetric 64-bit word (MCS spin-on-local);
+//   * local wait on a symmetric 64-bit word (MCS spin-on-local) and
+//     scheduler-context pokes — shared by every conduit, since each rides
+//     a fabric::Domain and the Domain's wait table wakes the waiters;
 //   * barrier. Collectives are built above the conduit from these
 //     primitives (caf::CollectiveEngine).
 //
@@ -34,11 +36,11 @@
 #include "fabric/domain.hpp"  // fabric::ScatterRec
 #include "net/model.hpp"
 #include "obs/obs.hpp"
-#include "shmem/world.hpp"  // for shmem::Cmp / ReduceOp enums reused here
+#include "shmem/world.hpp"  // for the shmem::ReduceOp enum reused here
 
 namespace caf {
 
-using Cmp = shmem::Cmp;
+using Cmp = fabric::Cmp;
 using ReduceOp = shmem::ReduceOp;
 
 class Conduit {
@@ -69,19 +71,19 @@ class Conduit {
   /// is conservative.
   virtual bool direct_reachable(int /*target*/) { return false; }
 
-  /// The fabric::Domain this conduit's RMA rides on, or nullptr for
-  /// conduits without one. Lets the runtime enable Domain-level features
-  /// (the node-local shared-segment transport) and lets pricing layers
-  /// (the collectives selector, caf::NodeHeap) query its state without
-  /// knowing the concrete conduit type.
-  virtual fabric::Domain* rma_domain() { return nullptr; }
+  /// The fabric::Domain this conduit's RMA rides on (never null: every
+  /// conduit has one). Lets the runtime enable Domain-level features (the
+  /// node-local shared-segment transport), backs wait_until()/poke(), and
+  /// lets pricing layers (the collectives selector, caf::NodeHeap) query its
+  /// state without knowing the concrete conduit type.
+  virtual fabric::Domain* rma_domain() = 0;
 
   /// True when the node-local shared-segment transport is active and
   /// `target` shares the calling rank's node: same-node RMA to it completes
   /// via memcpy/SPSC rings with zero fabric messages.
   bool node_transport_reachable(int target) {
     fabric::Domain* d = rma_domain();
-    return d != nullptr && d->node_transport() != nullptr &&
+    return d->node_transport() != nullptr &&
            d->fabric().same_node(rank(), target);
   }
 
@@ -90,12 +92,14 @@ class Conduit {
   /// (e.g. ARMCI mutex creation) override it.
   virtual void post_init() {}
 
-  /// Scheduler-context store into `rank`'s segment at virtual time `t`,
-  /// firing the conduit's write hooks so blocked waiters wake. Used by the
+  /// Scheduler-context store into `rank`'s segment at virtual time `t`;
+  /// blocked waiters on the written words wake at `t`. Used by the
   /// runtime's failure handler (and AM handlers) which mutate target memory
   /// from the event loop rather than through a fiber's NIC path.
-  virtual void poke(int rank, std::uint64_t off, const void* src,
-                    std::size_t n, sim::Time t) = 0;
+  void poke(int rank, std::uint64_t off, const void* src, std::size_t n,
+            sim::Time t) {
+    rma_domain()->poke(rank, off, src, n, t);
+  }
 
   // ---- collective symmetric allocation ----
   /// Collective; every rank calls with the same size and receives the same
@@ -195,7 +199,9 @@ class Conduit {
   // ---- synchronization ----
   /// Blocks until the 64-bit word at `off` in the *local* segment satisfies
   /// cmp/value (woken by remote deliveries; no busy polling).
-  virtual void wait_until(std::uint64_t off, Cmp cmp, std::int64_t value) = 0;
+  void wait_until(std::uint64_t off, Cmp cmp, std::int64_t value) {
+    rma_domain()->wait_until(off, cmp, value, "caf_wait_until");
+  }
   void barrier() {
     obs::Span sp(obs::Cat::kBarrier);
     do_barrier();

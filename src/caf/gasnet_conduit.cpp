@@ -1,8 +1,6 @@
 #include "caf/gasnet_conduit.hpp"
 
 #include <cstring>
-#include <new>
-#include <stdexcept>
 
 namespace caf {
 
@@ -16,12 +14,10 @@ constexpr std::uint64_t user_base() {
 GasnetConduit::GasnetConduit(gasnet::World& world)
     : world_(world),
       seg_bytes_(world.seg_bytes()),
-      allocator_(user_base(), world.seg_bytes() - user_base()) {
-  alloc_cursor_.assign(world_.nodes(), 0);
-
+      heap_(world.nodes(), user_base(), world.seg_bytes() - user_base()) {
   // The AMO-emulation handler: runs on the target CPU, performs the RMW on
   // the target's segment at the handler's virtual time, replies with the
-  // fetched value. poke() fires the write hook so spinning waiters wake.
+  // fetched value. poke() wakes the waiters spinning on the word.
   amo_handler_ = world_.register_handler(
       [this](const gasnet::Token& tok, std::span<const std::byte> payload,
              std::uint64_t off, std::uint64_t packed_kind) -> std::uint64_t {
@@ -65,40 +61,14 @@ std::int64_t GasnetConduit::am_amo(AmoKind kind, int rank, std::uint64_t off,
 }
 
 std::uint64_t GasnetConduit::allocate(std::size_t bytes) {
-  const int me = world_.mynode();
-  const std::size_t cursor = alloc_cursor_[me];
-  if (cursor == alloc_log_.size()) {
-    auto got = allocator_.allocate(bytes);
-    // Failures are logged too (result = kAllocFailed) so replaying nodes
-    // observe the same failure at the same op index; later, smaller
-    // allocations still succeed.
-    alloc_log_.push_back({false, bytes, got ? *got : kAllocFailed});
-  }
-  alloc_cursor_[me] = cursor + 1;
-  const AllocOp op = alloc_log_[cursor];  // copy: log grows during barrier
-  if (op.is_free || op.arg != bytes) {
-    throw std::logic_error("GasnetConduit::allocate: collective mismatch");
-  }
-  if (op.result == kAllocFailed) {
-    throw shmem::HeapExhaustedError("GasnetConduit::allocate", bytes,
-                                    allocator_.bytes_in_use(),
-                                    allocator_.capacity());
-  }
+  const std::uint64_t off =
+      heap_.allocate(world_.mynode(), bytes, "GasnetConduit::allocate");
   world_.barrier();
-  return op.result;
+  return off;
 }
 
 void GasnetConduit::deallocate(std::uint64_t offset) {
-  const int me = world_.mynode();
-  const std::size_t cursor = alloc_cursor_[me]++;
-  if (cursor == alloc_log_.size()) {
-    allocator_.release(offset);
-    alloc_log_.push_back({true, offset, 0});
-  }
-  const AllocOp op = alloc_log_[cursor];
-  if (!op.is_free || op.arg != offset) {
-    throw std::logic_error("GasnetConduit::deallocate: collective mismatch");
-  }
+  heap_.release(world_.mynode(), offset, "GasnetConduit::deallocate");
   world_.barrier();
 }
 
@@ -130,21 +100,6 @@ void GasnetConduit::do_iget(void* dst, std::ptrdiff_t dst_stride, int rank,
                              elem_bytes,
                elem_bytes);
   }
-}
-
-void GasnetConduit::wait_until(std::uint64_t off, Cmp cmp,
-                               std::int64_t value) {
-  world_.block_until(off, [cmp, value](std::int64_t v) {
-    switch (cmp) {
-      case Cmp::kEq: return v == value;
-      case Cmp::kNe: return v != value;
-      case Cmp::kGt: return v > value;
-      case Cmp::kGe: return v >= value;
-      case Cmp::kLt: return v < value;
-      case Cmp::kLe: return v <= value;
-    }
-    return false;
-  });
 }
 
 }  // namespace caf

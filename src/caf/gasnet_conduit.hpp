@@ -12,9 +12,6 @@
 //     symmetric allocator; UHCAF manages the segment itself).
 #pragma once
 
-#include <memory>
-#include <vector>
-
 #include "caf/conduit.hpp"
 #include "gasnet/gasnet.hpp"
 #include "shmem/heap.hpp"
@@ -37,11 +34,6 @@ class GasnetConduit final : public Conduit {
   std::uint64_t allocate(std::size_t bytes) override;
   void deallocate(std::uint64_t offset) override;
 
-  void poke(int rank, std::uint64_t off, const void* src, std::size_t n,
-            sim::Time t) override {
-    world_.domain().poke(rank, off, src, n, t);
-  }
-
   std::int64_t do_amo_swap(int rank, std::uint64_t off, std::int64_t v) override {
     return am_amo(kSwap, rank, off, v, 0);
   }
@@ -62,7 +54,6 @@ class GasnetConduit final : public Conduit {
     return am_amo(kXor, rank, off, m, 0);
   }
 
-  void wait_until(std::uint64_t off, Cmp cmp, std::int64_t value) override;
   void do_barrier() override { world_.barrier(); }
 
   bool direct_reachable(int target) override {
@@ -114,16 +105,8 @@ class GasnetConduit final : public Conduit {
   std::size_t seg_bytes_;
   int amo_handler_ = -1;
 
-  // Shared collective-allocation replay log (same discipline as shmalloc).
-  shmem::FreeListAllocator allocator_;
-  struct AllocOp {
-    bool is_free;
-    std::uint64_t arg;
-    std::uint64_t result;  // offset, or kAllocFailed when the alloc failed
-  };
-  static constexpr std::uint64_t kAllocFailed = ~std::uint64_t{0};
-  std::vector<AllocOp> alloc_log_;
-  std::vector<std::size_t> alloc_cursor_;
+  // Collective-allocation replay log (same discipline as shmalloc).
+  shmem::CollectiveAllocLog heap_;
 };
 
 }  // namespace caf

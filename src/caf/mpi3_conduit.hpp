@@ -40,11 +40,6 @@ class Mpi3Conduit final : public Conduit {
     win_.free_collective(offset);
   }
 
-  void poke(int rank, std::uint64_t off, const void* src, std::size_t n,
-            sim::Time t) override {
-    win_.domain().poke(rank, off, src, n, t);
-  }
-
   bool direct_reachable(int target) override {
     return node_transport_reachable(target);
   }
@@ -71,19 +66,6 @@ class Mpi3Conduit final : public Conduit {
     return win_.fetch_and_op_bxor(m, rank, off);
   }
 
-  void wait_until(std::uint64_t off, Cmp cmp, std::int64_t value) override {
-    win_.wait_until_local(off, [cmp, value](std::int64_t v) {
-      switch (cmp) {
-        case Cmp::kEq: return v == value;
-        case Cmp::kNe: return v != value;
-        case Cmp::kGt: return v > value;
-        case Cmp::kGe: return v >= value;
-        case Cmp::kLt: return v < value;
-        case Cmp::kLe: return v <= value;
-      }
-      return false;
-    });
-  }
   void do_barrier() override { win_.barrier(); }
 
   mpi3::Window& window() { return win_; }

@@ -5,15 +5,13 @@ namespace caf {
 NodeHeap::NodeHeap(Conduit& conduit)
     : conduit_(conduit),
       domain_(conduit.rma_domain()),
-      channel_(domain_ != nullptr ? domain_->node_transport() : nullptr) {}
+      channel_(domain_->node_transport()) {}
 
 int NodeHeap::node_of(int image) const {
-  if (domain_ == nullptr) return 0;
   return domain_->fabric().node_of(image - 1);
 }
 
 bool NodeHeap::same_node(int image_a, int image_b) const {
-  if (domain_ == nullptr) return image_a == image_b;
   return domain_->fabric().same_node(image_a - 1, image_b - 1);
 }
 

@@ -68,7 +68,7 @@ class NodeHeap {
   int my_rank() const { return conduit_.rank(); }
 
   Conduit& conduit_;
-  fabric::Domain* domain_;          ///< null for conduits without a Domain
+  fabric::Domain* domain_;
   net::NodeChannel* channel_;       ///< null when the transport is off
 };
 

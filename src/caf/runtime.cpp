@@ -41,11 +41,9 @@ Runtime::Runtime(Conduit& conduit, Options opts)
   per_image_.resize(conduit_.nranks());
   if (opts_.node.enabled) {
     // Enable the node-local shared-segment transport on the conduit's RMA
-    // domain (idempotent; conduits without a Domain simply keep the fabric
-    // path). Done here — not per-fiber — so it is set before any image runs.
-    if (fabric::Domain* d = conduit_.rma_domain()) {
-      d->enable_node_transport(opts_.node);
-    }
+    // domain (idempotent). Done here — not per-fiber — so it is set before
+    // any image runs.
+    conduit_.rma_domain()->enable_node_transport(opts_.node);
   }
   if (opts_.rpc.enabled) {
     rpc_engine_ = std::make_unique<RpcEngine>(*this, opts_.rpc);
@@ -161,23 +159,6 @@ void Runtime::sync_all() {
   conduit_.barrier();
 }
 
-namespace {
-
-bool cmp_i64(std::int64_t v, Cmp cmp, std::int64_t ref) {
-  switch (cmp) {
-    case Cmp::kEq: return v == ref;
-    case Cmp::kNe: return v != ref;
-    case Cmp::kGt: return v > ref;
-    case Cmp::kGe: return v >= ref;
-    case Cmp::kLt: return v < ref;
-    case Cmp::kLe: return v <= ref;
-  }
-  return false;
-}
-
-}  // namespace
-
-
 std::int64_t Runtime::read_local_i64(std::uint64_t off) {
   std::int64_t v = 0;
   std::memcpy(&v, local_addr(off), sizeof v);
@@ -198,7 +179,7 @@ bool Runtime::wait_fault(std::uint64_t off, Cmp cmp, std::int64_t value) {
       write_local_i64(off, raw - kFailedSentinel);
       return true;
     }
-    if (cmp_i64(raw, cmp, value)) return false;
+    if (fabric::compare(raw, cmp, value)) return false;
     // Register, block, unregister. The cell is registered before any yield
     // (the park guard's drain may advance the fiber clock), so a kill either
     // pokes the registered cell or is re-observed by the raw read above on

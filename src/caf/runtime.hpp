@@ -122,8 +122,8 @@ struct Options {
   /// same-node RMA completes via direct memory operations on a per-node
   /// shared symmetric heap — SPSC rings for small messages, NUMA-aware
   /// memcpy for bulk — with zero fabric messages. The Runtime constructor
-  /// enables it on the conduit's fabric::Domain (conduits without a Domain
-  /// ignore it). Off by default: existing runs stay byte-identical.
+  /// enables it on the conduit's fabric::Domain. Off by default: existing
+  /// runs stay byte-identical.
   net::NodeTransportOptions node;
   /// Asynchronous remote execution (caf::rpc / caf::rpc_ff; DESIGN.md §4f).
   RpcOptions rpc;

@@ -6,7 +6,7 @@
 //   1-D strided         → shmem_iput/iget     (vendor decides HW vs loop)
 //   quiet               → shmem_quiet
 //   atomics             → shmem_swap/cswap/fadd/and/or/xor
-//   wait                → shmem_wait_until
+//   wait                → the Domain wait table under shmem_wait_until
 //   barrier             → shmem_barrier_all
 //
 // Table II's collective rows (co_broadcast/co_<op> → shmem_broadcast /
@@ -52,11 +52,6 @@ class ShmemConduit final : public Conduit {
     world_.shfree(local_addr(offset));
   }
 
-  void poke(int rank, std::uint64_t off, const void* src, std::size_t n,
-            sim::Time t) override {
-    world_.domain().poke(rank, off, src, n, t);
-  }
-
   std::int64_t do_amo_swap(int rank, std::uint64_t off, std::int64_t v) override {
     return world_.swap(i64_addr(off), v, rank);
   }
@@ -77,9 +72,6 @@ class ShmemConduit final : public Conduit {
     return world_.fetch_xor(i64_addr(off), m, rank);
   }
 
-  void wait_until(std::uint64_t off, Cmp cmp, std::int64_t value) override {
-    world_.wait_until(i64_addr(off), cmp, value);
-  }
   void do_barrier() override { world_.barrier_all(); }
 
   bool direct_reachable(int target) override {
@@ -215,7 +207,7 @@ class ShmemConduit final : public Conduit {
   }
 
   /// Same-node put through shmem_ptr: advance the clock by the copy cost,
-  /// then store directly (poke fires the write hook so waiters wake).
+  /// then store directly (poke wakes the waiters on the written words).
   bool direct_store(int rank, std::uint64_t dst_off, const void* src,
                     std::size_t n) {
     if (world_.ptr(local_addr(dst_off), rank) == nullptr) return false;

@@ -2,14 +2,13 @@
 
 #include <cassert>
 #include <cstring>
-#include <new>
 #include <stdexcept>
 
 namespace craycaf {
 
 Runtime::Runtime(sim::Engine& engine, net::Fabric& fabric,
                  std::size_t heap_bytes, net::Machine machine)
-    : engine_(engine), allocator_(0, 0) {
+    : engine_(engine), heap_(0, 0, 0) {
   ctx_ = std::make_unique<fabric::dmapp::Context>(
       engine, fabric, heap_bytes,
       net::sw_profile(net::Library::kCrayCaf, machine));
@@ -25,15 +24,11 @@ Runtime::Runtime(sim::Engine& engine, net::Fabric& fabric,
   if (heap_bytes <= internal_bytes_) {
     throw std::invalid_argument("craycaf::Runtime: heap too small");
   }
-  allocator_ =
-      shmem::FreeListAllocator(internal_bytes_, heap_bytes - internal_bytes_);
-  alloc_cursor_.assign(ctx_->npes(), 0);
-  watchers_.resize(ctx_->npes());
+  heap_ = shmem::CollectiveAllocLog(ctx_->npes(), internal_bytes_,
+                                    heap_bytes - internal_bytes_);
   barrier_gen_.assign(ctx_->npes(), 0);
   coll_gen_.assign(ctx_->npes(), 0);
   held_tickets_.resize(static_cast<std::size_t>(ctx_->npes()));
-  ctx_->domain().set_write_hook(
-      [this](const fabric::WriteEvent& ev) { on_write(ev); });
 }
 
 Runtime::~Runtime() = default;
@@ -56,30 +51,13 @@ std::byte* Runtime::local_addr(std::uint64_t off) {
 }
 
 std::uint64_t Runtime::allocate(std::size_t bytes) {
-  const std::size_t cursor = alloc_cursor_[me()]++;
-  if (cursor == alloc_log_.size()) {
-    auto got = allocator_.allocate(bytes);
-    if (!got) throw std::bad_alloc();
-    alloc_log_.push_back({false, bytes, *got});
-  }
-  const AllocOp op = alloc_log_[cursor];  // copy: log grows during barrier
-  if (op.is_free || op.arg != bytes) {
-    throw std::logic_error("craycaf allocate: collective mismatch");
-  }
+  const std::uint64_t off = heap_.allocate(me(), bytes, "craycaf allocate");
   sync_all();
-  return op.result;
+  return off;
 }
 
 void Runtime::deallocate(std::uint64_t off) {
-  const std::size_t cursor = alloc_cursor_[me()]++;
-  if (cursor == alloc_log_.size()) {
-    allocator_.release(off);
-    alloc_log_.push_back({true, off, 0});
-  }
-  const AllocOp op = alloc_log_[cursor];
-  if (!op.is_free || op.arg != off) {
-    throw std::logic_error("craycaf deallocate: collective mismatch");
-  }
+  heap_.release(me(), off, "craycaf deallocate");
   sync_all();
 }
 
@@ -121,34 +99,6 @@ void Runtime::put_strided_1d(int image, std::uint64_t dst_off,
                   elem_bytes);
   }
   ctx_->gsync_wait();
-}
-
-void Runtime::wait_local_ge(std::uint64_t off, std::int64_t value) {
-  const int r = me();
-  auto load = [&] {
-    std::int64_t v = 0;
-    std::memcpy(&v, ctx_->domain().segment(r) + off, sizeof v);
-    return v;
-  };
-  while (load() < value) {
-    watchers_[r].push_back({off, engine_.current_fiber()});
-    engine_.block();
-  }
-}
-
-void Runtime::on_write(const fabric::WriteEvent& ev) {
-  auto& list = watchers_[ev.pe];
-  if (list.empty()) return;
-  std::vector<sim::Fiber*> wake;
-  for (auto it = list.begin(); it != list.end();) {
-    if (it->off >= ev.offset && it->off < ev.offset + ev.len) {
-      wake.push_back(it->fiber);
-      it = list.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (sim::Fiber* f : wake) engine_.resume(*f, ev.time);
 }
 
 void Runtime::sync_all() {

@@ -107,30 +107,18 @@ class Runtime {
   void co_sum_f64(double* data, std::size_t nelems);
 
  private:
-  void wait_local_ge(std::uint64_t off, std::int64_t value);
-  void on_write(const fabric::WriteEvent& ev);
+  void wait_local_ge(std::uint64_t off, std::int64_t value) {
+    ctx_->domain().wait_until(off, fabric::Cmp::kGe, value, "craycaf_wait");
+  }
   int me() const;
   /// Shared acquire path: returns kStatOk / kStatFailedImage; *reclaimed
   /// set when this waiter's CAS bumped now_serving past a dead owner.
   int ticket_lock(CoLock lck, int image, bool* reclaimed);
   int ticket_unlock(CoLock lck, int image);
 
-  struct Watcher {
-    std::uint64_t off;
-    sim::Fiber* fiber;
-  };
-
   sim::Engine& engine_;
   std::unique_ptr<fabric::dmapp::Context> ctx_;
-  shmem::FreeListAllocator allocator_;
-  struct AllocOp {
-    bool is_free;
-    std::uint64_t arg;
-    std::uint64_t result;
-  };
-  std::vector<AllocOp> alloc_log_;
-  std::vector<std::size_t> alloc_cursor_;
-  std::vector<std::vector<Watcher>> watchers_;
+  shmem::CollectiveAllocLog heap_;  ///< allocate/deallocate replay
   std::vector<std::int64_t> barrier_gen_;
   std::vector<std::int64_t> coll_gen_;
   /// Kills armed for this run (checked at launch): locks carry the owner

@@ -51,6 +51,7 @@ Domain::Domain(sim::Engine& engine, net::Fabric& fabric, net::SwProfile sw,
     segments_.emplace_back(segment_bytes_);
   }
   outstanding_.assign(fabric_.npes(), 0);
+  watchers_.resize(fabric_.npes());
 }
 
 std::byte* Domain::segment(int pe) {
@@ -267,7 +268,7 @@ void Domain::apply(const PendingMsg& m) {
     case PendingMsg::Op::kContig:
       assert(m.dst_off + m.payload_bytes <= segment_bytes_);
       std::memcpy(seg + m.dst_off, m.buf, m.payload_bytes);
-      if (write_hook_) write_hook_({m.dst_pe, m.dst_off, m.payload_bytes, m.t});
+      wake(m.dst_pe, m.dst_off, m.payload_bytes, m.t);
       break;
     case PendingMsg::Op::kScatter: {
       const auto* recs = reinterpret_cast<const ScatterRec*>(m.buf);
@@ -275,7 +276,7 @@ void Domain::apply(const PendingMsg& m) {
       for (std::uint32_t i = 0; i < m.nelems; ++i) {
         const ScatterRec& r = recs[i];
         std::memcpy(seg + r.dst_off, payload + r.payload_off, r.len);
-        if (write_hook_) write_hook_({m.dst_pe, r.dst_off, r.len, m.t});
+        wake(m.dst_pe, r.dst_off, r.len, m.t);
       }
       break;
     }
@@ -286,7 +287,7 @@ void Domain::apply(const PendingMsg& m) {
             i * static_cast<std::uint64_t>(m.dst_stride) * m.elem_bytes;
         std::memcpy(seg + off, m.buf + std::size_t{i} * m.elem_bytes,
                     m.elem_bytes);
-        if (write_hook_) write_hook_({m.dst_pe, off, m.elem_bytes, m.t});
+        wake(m.dst_pe, off, m.elem_bytes, m.t);
       }
       break;
   }
@@ -296,7 +297,38 @@ void Domain::poke(int dst_pe, std::uint64_t dst_off, const void* src,
                   std::size_t n, sim::Time t) {
   assert(dst_off + n <= segment_bytes_);
   std::memcpy(segments_[dst_pe].data() + dst_off, src, n);
-  if (write_hook_) write_hook_({dst_pe, dst_off, n, t});
+  wake(dst_pe, dst_off, n, t);
+}
+
+void Domain::wait_until(std::uint64_t off, Cmp cmp, std::int64_t value,
+                        const char* block_op) {
+  if (off + sizeof(std::int64_t) > segment_bytes_) {
+    throw std::out_of_range("fabric::Domain::wait_until beyond segment");
+  }
+  sim::Fiber* f = engine_.current_fiber();
+  assert(f != nullptr && "fabric operations require a PE fiber context");
+  const std::byte* word = segments_[f->pe()].data() + off;
+  for (;;) {
+    std::int64_t v = 0;
+    std::memcpy(&v, word, sizeof v);
+    if (compare(v, cmp, value)) return;
+    watchers_[f->pe()].push_back({off, f});
+    f->set_block_op(block_op);
+    engine_.block();
+  }
+}
+
+void Domain::wake(int pe, std::uint64_t off, std::size_t len, sim::Time t) {
+  auto& list = watchers_[pe];
+  std::size_t kept = 0;
+  for (const Watcher& w : list) {
+    if (w.off < off + len && off < w.off + sizeof(std::int64_t)) {
+      engine_.resume(*w.fiber, t);  // schedules; never runs the fiber here
+    } else {
+      list[kept++] = w;
+    }
+  }
+  list.resize(kept);
 }
 
 net::PutCompletion Domain::put(int dst_pe, std::uint64_t dst_off,
@@ -714,7 +746,7 @@ std::uint64_t Domain::amo(AmoOp op, int dst_pe, std::uint64_t dst_off,
     }
     if (store) {
       std::memcpy(addr, &neu, sizeof neu);
-      if (write_hook_) write_hook_({dst_pe, dst_off, sizeof neu, t});
+      wake(dst_pe, dst_off, sizeof neu, t);
     }
   });
   engine_.schedule(complete_at,

@@ -15,8 +15,10 @@
 //   * quiet      — block until every remote completion this PE issued has
 //                  landed.
 //
-// A write hook fires on every remote update of a PE's segment so higher
-// layers can implement shmem_wait_until without polling.
+// Every landed write (put, scatter record, strided element, AMO store,
+// poke) wakes the fibers waiting in wait_until() on an overlapping word of
+// that segment, so the libraries above implement shmem_wait_until and their
+// barrier spins without polling.
 //
 // The vendor-style APIs (fabric::verbs, fabric::dmapp), the OpenSHMEM
 // transports, and the MPI-3 RMA subset are all thin veneers over Domain with
@@ -25,7 +27,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -88,13 +89,22 @@ struct ScatterRec {
 /// travels with each record in the packed message.
 inline constexpr std::size_t kScatterRecWire = 12;
 
-/// Notification of a remote update to a PE's segment.
-struct WriteEvent {
-  int pe;                 ///< segment owner
-  std::uint64_t offset;   ///< first byte updated
-  std::size_t len;        ///< bytes updated
-  sim::Time time;         ///< virtual delivery time
-};
+/// Comparison operators for waits on a 64-bit word (shmem_wait_until's
+/// SHMEM_CMP_* set).
+enum class Cmp { kEq, kNe, kGt, kGe, kLt, kLe };
+
+/// True when `v cmp ref` holds.
+constexpr bool compare(std::int64_t v, Cmp cmp, std::int64_t ref) {
+  switch (cmp) {
+    case Cmp::kEq: return v == ref;
+    case Cmp::kNe: return v != ref;
+    case Cmp::kGt: return v > ref;
+    case Cmp::kGe: return v >= ref;
+    case Cmp::kLt: return v < ref;
+    case Cmp::kLe: return v <= ref;
+  }
+  return false;
+}
 
 class Domain {
  public:
@@ -116,11 +126,6 @@ class Domain {
   /// and for the delivery machinery).
   std::byte* segment(int pe);
   const std::byte* segment(int pe) const;
-
-  /// Registers the hook invoked at every remote write/AMO delivery.
-  void set_write_hook(std::function<void(const WriteEvent&)> hook) {
-    write_hook_ = std::move(hook);
-  }
 
   /// Enables the node-local shared-segment transport: same-node puts, gets,
   /// strided/scatter transfers, and AMOs complete via direct memory
@@ -146,9 +151,9 @@ class Domain {
                          std::size_t n, bool pipelined = false);
 
   /// Writes `n` bytes into `dst_pe`'s segment immediately (at the current
-  /// scheduler event's virtual time `t`) and fires the write hook. Used by
-  /// active-message handlers, which mutate target memory from the scheduler
-  /// context rather than through the NIC.
+  /// scheduler event's virtual time `t`) and wakes overlapping waiters at
+  /// `t`. Used by active-message handlers, which mutate target memory from
+  /// the scheduler context rather than through the NIC.
   void poke(int dst_pe, std::uint64_t dst_off, const void* src, std::size_t n,
             sim::Time t);
 
@@ -157,7 +162,7 @@ class Domain {
 
   /// Vectored (write-combining) put: a single wire message carrying a packed
   /// payload plus kScatterRecWire bytes of header per record; each record is
-  /// applied (memcpy + write hook) at delivery. This is the transport for
+  /// applied (memcpy + waiter wake-up) at delivery. This is the transport for
   /// iovec-style interfaces (ARMCI_PutV, MPI indexed datatypes, GASNet
   /// access regions) and the CAF runtime's aggregation buffer.
   net::PutCompletion put_scatter(int dst_pe, const ScatterRec* recs,
@@ -193,9 +198,20 @@ class Domain {
   /// Largest remote-completion timestamp outstanding for `pe`.
   sim::Time outstanding(int pe) const { return outstanding_[pe]; }
 
+  /// Blocks the calling fiber until the int64 at `off` in its own segment
+  /// satisfies `cmp`/`value`. Each landed write overlapping the word wakes
+  /// the waiter at the write's delivery time (waiters wake in the order they
+  /// blocked); it then re-checks. `block_op` (a string literal) labels the
+  /// wait in deadlock diagnostics.
+  void wait_until(std::uint64_t off, Cmp cmp, std::int64_t value,
+                  const char* block_op);
+
  private:
   int current_pe() const;
   void note_outstanding(int src_pe, sim::Time t);
+  /// Resumes, at time `t`, every fiber waiting on a word of `pe`'s segment
+  /// that overlaps [off, off+len), and drops them from the wait list.
+  void wake(int pe, std::uint64_t off, std::size_t len, sim::Time t);
 
   // ---- node-local transport ----
   //
@@ -374,7 +390,11 @@ class Domain {
   std::vector<PendingMsg*> head_;     ///< oldest queued message (FIFO)
   std::vector<PendingMsg*> tail_;
 
-  std::function<void(const WriteEvent&)> write_hook_;
+  struct Watcher {
+    std::uint64_t off;  ///< watched int64 word
+    sim::Fiber* fiber;
+  };
+  std::vector<std::vector<Watcher>> watchers_;  ///< per PE, in block order
 };
 
 }  // namespace fabric

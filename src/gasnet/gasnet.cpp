@@ -14,8 +14,6 @@ World::World(sim::Engine& engine, net::Fabric& fabric, net::SwProfile sw,
   }
   domain_ = std::make_unique<fabric::Domain>(engine, fabric, std::move(sw),
                                              seg_bytes);
-  domain_->set_write_hook([this](const fabric::WriteEvent& ev) { on_write(ev); });
-  watchers_.resize(domain_->npes());
   barrier_gen_.assign(domain_->npes(), 0);
   barrier_flags_off_ = 0;
   // GASNet barriers are AM-based in every conduit: the notify message runs
@@ -124,40 +122,6 @@ std::uint64_t World::am_request_reply(int node, int handler,
   return *reply;
 }
 
-std::int64_t World::load_i64(int node, std::uint64_t off) const {
-  std::int64_t v = 0;
-  std::memcpy(&v, domain_->segment(node) + off, sizeof v);
-  return v;
-}
-
-void World::block_until(std::uint64_t off,
-                        const std::function<bool(std::int64_t)>& pred) {
-  const int me = mynode();
-  while (!pred(load_i64(me, off))) {
-    watchers_[me].push_back(
-        {off, sizeof(std::int64_t), engine_.current_fiber()});
-    engine_.current_fiber()->set_block_op("gasnet_block_until");
-    engine_.block();
-  }
-}
-
-void World::on_write(const fabric::WriteEvent& ev) {
-  auto& list = watchers_[ev.pe];
-  if (list.empty()) return;
-  std::vector<sim::Fiber*> to_wake;
-  for (auto it = list.begin(); it != list.end();) {
-    const bool overlap =
-        it->off < ev.offset + ev.len && ev.offset < it->off + it->len;
-    if (overlap) {
-      to_wake.push_back(it->fiber);
-      it = list.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (sim::Fiber* f : to_wake) engine_.resume(*f, ev.time);
-}
-
 void World::barrier() {
   const int me = mynode();
   const int n = nodes();
@@ -171,7 +135,7 @@ void World::barrier() {
         barrier_flags_off_ + static_cast<std::uint64_t>(round) * sizeof(std::int64_t);
     am_request(peer, barrier_handler_, flag_off,
                static_cast<std::uint64_t>(gen));
-    block_until(flag_off, [gen](std::int64_t v) { return v >= gen; });
+    block_until(flag_off, fabric::Cmp::kGe, gen);
   }
 }
 

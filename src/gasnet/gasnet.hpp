@@ -103,25 +103,16 @@ class World {
   void barrier();
 
   /// Blocks the calling fiber until the int64 at `off` in the local segment
-  /// satisfies `pred` (used by layered runtimes to spin on AM-written
-  /// flags). Equivalent to GASNET_BLOCKUNTIL.
-  void block_until(std::uint64_t off,
-                   const std::function<bool(std::int64_t)>& pred);
+  /// satisfies `cmp`/`value` (used by layered runtimes to spin on
+  /// AM-written flags). Equivalent to GASNET_BLOCKUNTIL.
+  void block_until(std::uint64_t off, fabric::Cmp cmp, std::int64_t value) {
+    domain_->wait_until(off, cmp, value, "gasnet_block_until");
+  }
 
  private:
-  struct Watcher {
-    std::uint64_t off;
-    std::size_t len;
-    sim::Fiber* fiber;
-  };
-
-  void on_write(const fabric::WriteEvent& ev);
-  std::int64_t load_i64(int node, std::uint64_t off) const;
-
   sim::Engine& engine_;
   std::unique_ptr<fabric::Domain> domain_;
   std::vector<Handler> handlers_;
-  std::vector<std::vector<Watcher>> watchers_;
   std::vector<std::int64_t> barrier_gen_;
   std::uint64_t barrier_flags_off_ = 0;  // first kMaxRounds int64s of segment
   int barrier_handler_ = -1;

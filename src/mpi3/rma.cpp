@@ -1,7 +1,6 @@
 #include "mpi3/rma.hpp"
 
 #include <cassert>
-#include <cstring>
 #include <stdexcept>
 
 namespace mpi3 {
@@ -14,13 +13,10 @@ Window::Window(sim::Engine& engine, net::Fabric& fabric, net::SwProfile sw,
   }
   domain_ = std::make_unique<fabric::Domain>(engine, fabric, std::move(sw),
                                              win_bytes);
-  domain_->set_write_hook([this](const fabric::WriteEvent& ev) { on_write(ev); });
-  watchers_.resize(domain_->npes());
   barrier_gen_.assign(domain_->npes(), 0);
   const std::uint64_t base = (reserved_bytes() + 15) & ~std::uint64_t{15};
-  allocator_ = std::make_unique<shmem::FreeListAllocator>(base,
-                                                          win_bytes - base);
-  alloc_cursor_.assign(domain_->npes(), 0);
+  heap_ = std::make_unique<shmem::CollectiveAllocLog>(domain_->npes(), base,
+                                                      win_bytes - base);
 }
 
 Window::~Window() = default;
@@ -101,74 +97,14 @@ std::int64_t Window::fetch_and_op_bxor(std::int64_t mask, int target_rank,
 void Window::flush_all() { domain_->quiet(); }
 
 std::uint64_t Window::allocate_collective(std::size_t bytes) {
-  const int me = rank();
-  const std::size_t cursor = alloc_cursor_[me];
-  if (cursor == alloc_log_.size()) {
-    auto got = allocator_->allocate(bytes);
-    // Failures are logged too (result = kAllocFailed) so replaying ranks
-    // observe the same failure at the same op index; later, smaller
-    // allocations still succeed.
-    alloc_log_.push_back({false, bytes, got ? *got : kAllocFailed});
-  }
-  alloc_cursor_[me] = cursor + 1;
-  const AllocOp op = alloc_log_[cursor];  // copy: log grows during barrier
-  if (op.is_free || op.arg != bytes) {
-    throw std::logic_error("mpi3 allocate: collective mismatch");
-  }
-  if (op.result == kAllocFailed) {
-    throw shmem::HeapExhaustedError("mpi3 allocate", bytes,
-                                    allocator_->bytes_in_use(),
-                                    allocator_->capacity());
-  }
+  const std::uint64_t off = heap_->allocate(rank(), bytes, "mpi3 allocate");
   barrier();
-  return op.result;
+  return off;
 }
 
 void Window::free_collective(std::uint64_t off) {
-  const std::size_t cursor = alloc_cursor_[rank()]++;
-  if (cursor == alloc_log_.size()) {
-    allocator_->release(off);
-    alloc_log_.push_back({true, off, 0});
-  }
-  const AllocOp op = alloc_log_[cursor];
-  if (!op.is_free || op.arg != off) {
-    throw std::logic_error("mpi3 free: collective mismatch");
-  }
+  heap_->release(rank(), off, "mpi3 free");
   barrier();
-}
-
-void Window::wait_until_local(
-    std::uint64_t off, const std::function<bool(std::int64_t)>& pred) {
-  const int me = rank();
-  auto load = [&] {
-    std::int64_t v = 0;
-    std::memcpy(&v, domain_->segment(me) + off, sizeof v);
-    return v;
-  };
-  while (!pred(load())) {
-    watchers_[me].push_back({off, engine_.current_fiber()});
-    engine_.current_fiber()->set_block_op("mpi3_wait_until");
-    engine_.block();
-  }
-}
-
-void Window::block_until_ge(std::uint64_t off, std::int64_t gen) {
-  wait_until_local(off, [gen](std::int64_t v) { return v >= gen; });
-}
-
-void Window::on_write(const fabric::WriteEvent& ev) {
-  auto& list = watchers_[ev.pe];
-  if (list.empty()) return;
-  std::vector<sim::Fiber*> to_wake;
-  for (auto it = list.begin(); it != list.end();) {
-    if (it->off >= ev.offset && it->off < ev.offset + ev.len) {
-      to_wake.push_back(it->fiber);
-      it = list.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (sim::Fiber* f : to_wake) engine_.resume(*f, ev.time);
 }
 
 void Window::barrier() {

@@ -73,10 +73,12 @@ class Window {
   /// same offset. Includes a barrier.
   std::uint64_t allocate_collective(std::size_t bytes);
   void free_collective(std::uint64_t off);
-  /// Blocks until the local int64 at `off` satisfies `pred` (an MPI_Win
-  /// passive-target progress wait; used by layered runtimes).
-  void wait_until_local(std::uint64_t off,
-                        const std::function<bool(std::int64_t)>& pred);
+  /// Blocks until the local int64 at `off` satisfies `cmp`/`value` (an
+  /// MPI_Win passive-target progress wait; used by layered runtimes).
+  void wait_until_local(std::uint64_t off, fabric::Cmp cmp,
+                        std::int64_t value) {
+    domain_->wait_until(off, cmp, value, "mpi3_wait_until");
+  }
   /// MPI_Barrier over COMM_WORLD (dissemination on flags in the window's
   /// reserved prefix).
   void barrier();
@@ -84,29 +86,15 @@ class Window {
   static constexpr std::size_t reserved_bytes() { return 16 * sizeof(std::int64_t); }
 
  private:
-  void block_until_ge(std::uint64_t off, std::int64_t gen);
-  void on_write(const fabric::WriteEvent& ev);
-
-  struct Watcher {
-    std::uint64_t off;
-    sim::Fiber* fiber;
-  };
+  void block_until_ge(std::uint64_t off, std::int64_t gen) {
+    wait_until_local(off, fabric::Cmp::kGe, gen);
+  }
 
   sim::Engine& engine_;
   std::unique_ptr<fabric::Domain> domain_;
-  std::vector<std::vector<Watcher>> watchers_;
   std::vector<std::int64_t> barrier_gen_;
-
-  // collective allocation replay (like the other worlds)
-  std::unique_ptr<shmem::FreeListAllocator> allocator_;
-  struct AllocOp {
-    bool is_free;
-    std::uint64_t arg;
-    std::uint64_t result;  // offset, or kAllocFailed when the alloc failed
-  };
-  static constexpr std::uint64_t kAllocFailed = ~std::uint64_t{0};
-  std::vector<AllocOp> alloc_log_;
-  std::vector<std::size_t> alloc_cursor_;
+  /// Collective allocation replay (like the other worlds).
+  std::unique_ptr<shmem::CollectiveAllocLog> heap_;
 };
 
 }  // namespace mpi3

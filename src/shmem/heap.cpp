@@ -72,4 +72,46 @@ bool FreeListAllocator::check_invariants() const {
   return free_total + in_use_ == capacity_;
 }
 
+CollectiveAllocLog::CollectiveAllocLog(int nranks, std::uint64_t base,
+                                       std::uint64_t capacity)
+    : allocator_(base, capacity), cursor_(static_cast<std::size_t>(nranks)) {}
+
+std::uint64_t CollectiveAllocLog::allocate(int rank, std::uint64_t bytes,
+                                           const char* what) {
+  std::size_t& cursor = cursor_[static_cast<std::size_t>(rank)];
+  const std::size_t i = cursor;
+  if (i == log_.size()) {
+    const auto got = allocator_.allocate(bytes);
+    log_.push_back({false, bytes, got ? *got : kFailed});
+  }
+  ++cursor;  // only once the op is in the log
+  const Op& op = log_[i];
+  if (op.is_free || op.arg != bytes) {
+    throw std::logic_error(std::string(what) +
+                           ": collective call mismatch across ranks "
+                           "(differing sizes or an interleaved free)");
+  }
+  if (op.result == kFailed) {
+    throw HeapExhaustedError(what, bytes, allocator_.bytes_in_use(),
+                             allocator_.capacity());
+  }
+  return op.result;
+}
+
+void CollectiveAllocLog::release(int rank, std::uint64_t offset,
+                                 const char* what) {
+  std::size_t& cursor = cursor_[static_cast<std::size_t>(rank)];
+  const std::size_t i = cursor;
+  if (i == log_.size()) {
+    allocator_.release(offset);  // throws on an unknown offset
+    log_.push_back({true, offset, 0});
+  }
+  ++cursor;
+  const Op& op = log_[i];
+  if (!op.is_free || op.arg != offset) {
+    throw std::logic_error(std::string(what) +
+                           ": collective call mismatch across ranks");
+  }
+}
+
 }  // namespace shmem

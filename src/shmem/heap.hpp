@@ -1,10 +1,13 @@
-// First-fit free-list allocator over an abstract [0, capacity) byte range.
+// First-fit free-list allocator over an abstract [0, capacity) byte range,
+// and the collective-allocation replay log built on it.
 //
-// Used twice in this repository, mirroring the paper's two allocation
-// domains:
-//   * the OpenSHMEM symmetric heap (shmalloc/shfree, §IV-A) — one shared
-//     allocator instance produces identical offsets on every PE because
-//     shmalloc is collective with identical sizes;
+// The allocator is used twice in this repository, mirroring the paper's two
+// allocation domains:
+//   * the symmetric heaps of every library (shmalloc/shfree §IV-A,
+//     ARMCI_Malloc, MPI window memory, CAF allocate over GASNet and Cray
+//     CAF) — one CollectiveAllocLog per library owns one shared allocator
+//     and produces identical offsets on every rank because the calls are
+//     collective with identical sizes;
 //   * the CAF managed buffer for non-symmetric remotely-accessible data
 //     (§IV-A), carved per image out of a pre-shmalloc'ed slab.
 //
@@ -19,6 +22,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace shmem {
 
@@ -84,6 +88,40 @@ class FreeListAllocator {
   std::map<std::uint64_t, std::uint64_t> holes_;  // offset -> size
   std::map<std::uint64_t, std::uint64_t> sizes_;  // live offset -> size
   std::uint64_t in_use_ = 0;
+};
+
+/// Replay log for one library's collective symmetric allocations. Ranks are
+/// not synchronized on entry: the first rank to reach op i performs it on
+/// the shared allocator and records it; every later rank replays the
+/// record. Failed allocations are recorded too, so every rank fails at the
+/// same op index (and none reaches the caller's barrier); later, smaller
+/// allocations still succeed. The caller runs its own barrier after a
+/// successful op.
+class CollectiveAllocLog {
+ public:
+  /// Allocates from [base, base+capacity) for ranks 0..nranks-1.
+  CollectiveAllocLog(int nranks, std::uint64_t base, std::uint64_t capacity);
+
+  /// `rank`'s next collective allocation of `bytes`; returns the offset.
+  /// Throws std::logic_error when the logged op is a free or has another
+  /// size, and HeapExhaustedError when the logged allocation failed. `what`
+  /// names the calling routine in either message.
+  std::uint64_t allocate(int rank, std::uint64_t bytes, const char* what);
+  /// `rank`'s next collective free of `offset`. Throws std::logic_error
+  /// when the logged op is an allocation or frees another offset.
+  void release(int rank, std::uint64_t offset, const char* what);
+
+ private:
+  struct Op {
+    bool is_free;
+    std::uint64_t arg;     ///< size for an allocation, offset for a free
+    std::uint64_t result;  ///< offset for an allocation, or kFailed
+  };
+  static constexpr std::uint64_t kFailed = ~std::uint64_t{0};
+
+  FreeListAllocator allocator_;
+  std::vector<Op> log_;
+  std::vector<std::size_t> cursor_;  ///< per rank: index of its next op
 };
 
 }  // namespace shmem

@@ -6,22 +6,6 @@
 
 namespace shmem {
 
-namespace {
-
-bool compare_i64(std::int64_t v, Cmp cmp, std::int64_t ref) {
-  switch (cmp) {
-    case Cmp::kEq: return v == ref;
-    case Cmp::kNe: return v != ref;
-    case Cmp::kGt: return v > ref;
-    case Cmp::kGe: return v >= ref;
-    case Cmp::kLt: return v < ref;
-    case Cmp::kLe: return v <= ref;
-  }
-  return false;
-}
-
-}  // namespace
-
 struct World::CollectiveState {
   std::int64_t barrier_gen = 0;
   std::int64_t bcast_gen = 0;
@@ -50,11 +34,8 @@ World::World(sim::Engine& engine, net::Fabric& fabric, net::SwProfile sw,
 
   domain_ = std::make_unique<fabric::Domain>(engine, fabric, std::move(sw),
                                              heap_bytes);
-  domain_->set_write_hook([this](const fabric::WriteEvent& ev) { on_write(ev); });
-  allocator_ = std::make_unique<FreeListAllocator>(internal_bytes_,
-                                                   heap_bytes - internal_bytes_);
-  alloc_cursor_.assign(domain_->npes(), 0);
-  watchers_.resize(domain_->npes());
+  heap_ = std::make_unique<CollectiveAllocLog>(
+      domain_->npes(), internal_bytes_, heap_bytes - internal_bytes_);
   psync_gens_.resize(domain_->npes());
   coll_.reserve(domain_->npes());
   for (int i = 0; i < domain_->npes(); ++i) {
@@ -100,47 +81,16 @@ std::size_t World::heap_user_bytes() const {
 
 void* World::shmalloc(std::size_t bytes) {
   const int me = my_pe();
-  const std::size_t cursor = alloc_cursor_[me];
-  if (cursor == alloc_log_.size()) {
-    auto got = allocator_->allocate(bytes);
-    // Failures are logged too (result = kAllocFailed): PEs are not
-    // synchronized here, so a replaying PE must observe the same failure at
-    // the same op index. Later, smaller shmallocs still succeed.
-    alloc_log_.push_back({false, bytes, got ? *got : kAllocFailed});
-  }
-  alloc_cursor_[me] = cursor + 1;
-  // Copy, not reference: other PEs append to the log while we sit in the
-  // barrier below, which can reallocate the vector.
-  const AllocOp op = alloc_log_[cursor];
-  if (op.is_free || op.arg != bytes) {
-    throw std::logic_error(
-        "shmalloc: collective call mismatch across PEs (differing sizes or "
-        "interleaved shfree)");
-  }
-  if (op.result == kAllocFailed) {
-    // No barrier: every PE throws at this op, so none reaches it.
-    throw HeapExhaustedError("shmalloc (symmetric heap)", bytes,
-                             allocator_->bytes_in_use(),
-                             allocator_->capacity());
-  }
+  const std::uint64_t off =
+      heap_->allocate(me, bytes, "shmalloc (symmetric heap)");
   // The specification gives shmalloc an implicit barrier: all PEs own the
   // block when any PE returns.
   barrier_all();
-  return domain_->segment(me) + op.result;
+  return domain_->segment(me) + off;
 }
 
 void World::shfree(void* ptr) {
-  const int me = my_pe();
-  const std::uint64_t off = sym_off(ptr, "shfree");
-  const std::size_t cursor = alloc_cursor_[me]++;
-  if (cursor == alloc_log_.size()) {
-    allocator_->release(off);
-    alloc_log_.push_back({true, off, 0});
-  }
-  const AllocOp op = alloc_log_[cursor];  // copy; see shmalloc
-  if (!op.is_free || op.arg != off) {
-    throw std::logic_error("shfree: collective call mismatch across PEs");
-  }
+  heap_->release(my_pe(), sym_off(ptr, "shfree"), "shfree");
   barrier_all();
 }
 
@@ -225,38 +175,9 @@ void World::fence() { domain_->fence(); }
 // Point-to-point synchronization
 // ---------------------------------------------------------------------------
 
-std::int64_t World::load_i64(int pe, std::uint64_t off) const {
-  std::int64_t v = 0;
-  std::memcpy(&v, domain_->segment(pe) + off, sizeof v);
-  return v;
-}
-
 void World::wait_until(const std::int64_t* ivar, Cmp cmp, std::int64_t value) {
-  const int me = my_pe();
-  const std::uint64_t off = sym_off(ivar, "wait_until");
-  while (!compare_i64(load_i64(me, off), cmp, value)) {
-    watchers_[me].push_back({off, sizeof(std::int64_t),
-                             engine_.current_fiber()});
-    engine_.current_fiber()->set_block_op("shmem_wait_until");
-    engine_.block();
-  }
-}
-
-void World::on_write(const fabric::WriteEvent& ev) {
-  auto& list = watchers_[ev.pe];
-  if (list.empty()) return;
-  std::vector<sim::Fiber*> to_wake;
-  for (auto it = list.begin(); it != list.end();) {
-    const bool overlap =
-        it->off < ev.offset + ev.len && ev.offset < it->off + it->len;
-    if (overlap) {
-      to_wake.push_back(it->fiber);
-      it = list.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (sim::Fiber* f : to_wake) engine_.resume(*f, ev.time);
+  domain_->wait_until(sym_off(ivar, "wait_until"), cmp, value,
+                      "shmem_wait_until");
 }
 
 // ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@
 namespace shmem {
 
 /// Comparison operators for shmem_wait_until.
-enum class Cmp { kEq, kNe, kGt, kGe, kLt, kLe };
+using Cmp = fabric::Cmp;
 
 /// Reduction operators for the to_all collectives.
 enum class ReduceOp { kSum, kProd, kMin, kMax, kAnd, kOr, kXor };
@@ -216,11 +216,6 @@ class World {
   std::size_t heap_user_bytes() const;
 
  private:
-  struct Watcher {
-    std::uint64_t off;
-    std::size_t len;
-    sim::Fiber* fiber;
-  };
   struct CollectiveState;  // per-PE internal offsets & generation counters
 
   std::uint64_t sym_off(const void* ptr, const char* what) const;
@@ -234,25 +229,10 @@ class World {
   /// Per-(PE, pSync) monotone generation counters for active-set flags.
   std::int64_t next_psync_gen(int pe, std::uint64_t psync_off);
   void validate_member(const ActiveSet& as, const char* what) const;
-  void on_write(const fabric::WriteEvent& ev);
-  std::int64_t load_i64(int pe, std::uint64_t off) const;
 
   sim::Engine& engine_;
   std::unique_ptr<fabric::Domain> domain_;
-  std::unique_ptr<FreeListAllocator> allocator_;
-
-  // Collective-allocation log: shmalloc/shfree are collective; the first
-  // arriving PE performs the operation, later PEs replay the result.
-  struct AllocOp {
-    bool is_free;
-    std::uint64_t arg;     // size for alloc, offset for free
-    std::uint64_t result;  // offset for alloc, or kAllocFailed
-  };
-  static constexpr std::uint64_t kAllocFailed = ~std::uint64_t{0};
-  std::vector<AllocOp> alloc_log_;
-  std::vector<std::size_t> alloc_cursor_;  // per PE
-
-  std::vector<std::vector<Watcher>> watchers_;  // per PE
+  std::unique_ptr<CollectiveAllocLog> heap_;  ///< shmalloc/shfree replay
   std::vector<std::unique_ptr<CollectiveState>> coll_;
   std::vector<std::unordered_map<std::uint64_t, std::int64_t>> psync_gens_;
 

@@ -203,3 +203,23 @@ TEST(Armci, MutexesPerProcessAreIndependent) {
     h.world.barrier();
   });
 }
+
+TEST(Armci, WaitWakesOnPutInsideWatchedWord) {
+  // A put that begins inside the watched word (its upper half) changes the
+  // word's value, so it must wake the waiter.
+  Harness h(32);
+  h.run([&] {
+    const std::uint64_t off = h.world.malloc_collective(8);
+    if (h.world.me() == 0) {
+      h.world.wait_until_local(off, fabric::Cmp::kNe, 0);
+      std::int64_t v = 0;
+      std::memcpy(&v, h.world.base(0) + off, sizeof v);
+      EXPECT_EQ(v, std::int64_t{1} << 32);
+    } else if (h.world.me() == 16) {
+      const std::int32_t one = 1;
+      h.world.put(0, off + 4, &one, sizeof one);
+      h.world.all_fence();
+    }
+    h.world.barrier();
+  });
+}

@@ -39,7 +39,7 @@ TEST(ShmemPtr, IntraNodePutGetCorrect) {
 
 TEST(ShmemPtr, DirectPathWakesWaiters) {
   // A wait_until spinning image must still wake when the writer uses the
-  // direct store path (poke fires the write hook).
+  // direct store path (poke wakes Domain waiters).
   Harness h(Stack::kShmemCray, 2);
   h.run([&] {
     conduit_of(h).set_intra_node_direct(true);

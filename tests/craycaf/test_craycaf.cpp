@@ -39,6 +39,25 @@ TEST(CrayCaf, ImagesAndAllocation) {
   for (int i = 1; i < 8; ++i) EXPECT_EQ(offs[i], offs[0]);
 }
 
+TEST(CrayCaf, AllocationAfterExhaustionStaysSymmetric) {
+  // The oversized allocation fails on every image at the same op; the next
+  // allocation still succeeds, at one offset on every image.
+  Harness h(4);
+  int threw = 0;
+  std::vector<std::uint64_t> offs(4, 0);
+  h.run([&] {
+    try {
+      (void)h.rt.allocate(std::size_t{1} << 30);
+      ADD_FAILURE() << "oversized allocate returned";
+    } catch (const std::bad_alloc&) {
+      ++threw;
+    }
+    offs[static_cast<std::size_t>(h.rt.this_image() - 1)] = h.rt.allocate(256);
+  });
+  EXPECT_EQ(threw, 4);
+  for (int i = 1; i < 4; ++i) EXPECT_EQ(offs[i], offs[0]);
+}
+
 TEST(CrayCaf, PutGetRoundTrip) {
   Harness h(20);
   h.run([&] {

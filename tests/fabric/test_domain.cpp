@@ -151,22 +151,59 @@ TEST(Domain, AmoBitwiseOps) {
   EXPECT_EQ(final, 0b0001u);
 }
 
-TEST(Domain, WriteHookFiresOnDelivery) {
+TEST(Domain, WaitUntilWakesOnDelivery) {
   World w;
-  std::vector<WriteEvent> events;
-  w.domain.set_write_hook([&](const WriteEvent& e) { events.push_back(e); });
+  sim::Time put_delivered = 0, amo_issued = 0, amo_returned = 0;
+  sim::Time woke_put = 0, woke_amo = 0, woke_poke = 0, woke_inside = 0;
+  w.engine.spawn(16, [&] {  // woken by a put
+    w.domain.wait_until(0, Cmp::kEq, 11, "test_wait");
+    woke_put = w.engine.now();
+  });
+  w.engine.spawn(17, [&] {  // woken by an AMO store at the target
+    w.domain.wait_until(0, Cmp::kGe, 5, "test_wait");
+    woke_amo = w.engine.now();
+  });
+  w.engine.spawn(18, [&] {  // woken by a scheduler-context poke
+    w.domain.wait_until(0, Cmp::kNe, 0, "test_wait");
+    woke_poke = w.engine.now();
+  });
+  w.engine.spawn(19, [&] {  // word [8, 16): neighbours must not wake it
+    w.domain.wait_until(8, Cmp::kEq, 7, "test_wait");
+    woke_inside = w.engine.now();
+  });
   w.engine.spawn(0, [&] {
-    int v[4] = {1, 2, 3, 4};
-    w.domain.put(16, 32, v, sizeof v);
+    const std::int64_t v = 11;
+    put_delivered = w.domain.put(16, 0, &v, sizeof v).delivered;
+    amo_issued = w.engine.now();
     w.domain.amo(AmoOp::kFetchAdd, 17, 0, 5);
+    amo_returned = w.engine.now();
+    // Writes to the words on either side of PE 19's watched word.
+    w.domain.put(19, 0, &v, sizeof v);
+    w.domain.put(19, 16, &v, sizeof v);
     w.domain.quiet();
   });
+  // A store that bypasses the Domain satisfies PE 19's condition without
+  // waking it: only a later write overlapping the word may wake it.
+  w.engine.schedule(1_us, [&] {
+    const std::int64_t seven = 7;
+    std::memcpy(w.domain.segment(19) + 8, &seven, sizeof seven);
+  });
+  w.engine.schedule(30_us, [&] {
+    const std::int64_t one = 1;
+    w.domain.poke(18, 0, &one, sizeof one, w.engine.sim_now());
+  });
+  // Four bytes starting inside the word (its upper half, still 0).
+  w.engine.schedule(50_us, [&] {
+    const std::int32_t zero = 0;
+    w.domain.poke(19, 12, &zero, sizeof zero, w.engine.sim_now());
+  });
   w.engine.run();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].pe, 16);
-  EXPECT_EQ(events[0].offset, 32u);
-  EXPECT_EQ(events[0].len, 16u);
-  EXPECT_EQ(events[1].pe, 17);
+  EXPECT_GT(put_delivered, 0);
+  EXPECT_EQ(woke_put, put_delivered);
+  EXPECT_GT(woke_amo, amo_issued);  // at the target's RMW, not the reply
+  EXPECT_LT(woke_amo, amo_returned);
+  EXPECT_EQ(woke_poke, 30_us);
+  EXPECT_EQ(woke_inside, 50_us);
 }
 
 TEST(Domain, HwStridedPutScattersCorrectly) {

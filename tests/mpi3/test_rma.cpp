@@ -94,3 +94,22 @@ TEST(Mpi3, SmallPutSlowerThanShmem) {
   EXPECT_GT(one_put_latency(net::Library::kMpi3),
             one_put_latency(net::Library::kShmemMvapich));
 }
+
+TEST(Mpi3, WaitWakesOnPutInsideWatchedWord) {
+  // A put that begins inside the watched word (its upper half) changes the
+  // word's value, so it must wake the waiter.
+  Harness h(32);
+  h.run([&] {
+    if (h.win.rank() == 0) {
+      h.win.wait_until_local(kOff, fabric::Cmp::kNe, 0);
+      std::int64_t v = 0;
+      std::memcpy(&v, h.win.base(0) + kOff, sizeof v);
+      EXPECT_EQ(v, std::int64_t{1} << 32);
+    } else if (h.win.rank() == 16) {
+      const std::int32_t one = 1;
+      h.win.put(&one, sizeof one, 0, kOff + 4);
+      h.win.flush_all();
+    }
+    h.win.barrier();
+  });
+}

@@ -1,15 +1,17 @@
 // Unit + property tests for the free-list allocator behind shmalloc and the
-// CAF non-symmetric slab.
+// CAF non-symmetric slab, and for the collective-allocation replay log.
 #include "shmem/heap.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/rng.hpp"
 
+using shmem::CollectiveAllocLog;
 using shmem::FreeListAllocator;
 
 TEST(Heap, AllocatesAlignedNonOverlapping) {
@@ -121,4 +123,50 @@ TEST(HeapProperty, RandomWorkloadMaintainsInvariants) {
     // Fully coalesced: one max-size allocation must succeed.
     EXPECT_TRUE(a.allocate((1 << 20) - 16));
   }
+}
+
+TEST(AllocLog, ReplayedOpsReturnTheRecordingRanksOffsets) {
+  CollectiveAllocLog log(3, 1024, 4096);
+  const std::uint64_t a = log.allocate(0, 100, "test");
+  const std::uint64_t b = log.allocate(0, 50, "test");
+  EXPECT_GE(a, 1024u);
+  EXPECT_NE(a, b);
+  for (int r = 1; r < 3; ++r) {
+    EXPECT_EQ(log.allocate(r, 100, "test"), a);
+    EXPECT_EQ(log.allocate(r, 50, "test"), b);
+  }
+  // A free is performed once, by the first rank; the block is then reused.
+  for (int r = 0; r < 3; ++r) log.release(r, a, "test");
+  const std::uint64_t c = log.allocate(2, 64, "test");
+  EXPECT_EQ(c, a);
+  EXPECT_EQ(log.allocate(0, 64, "test"), c);
+  EXPECT_EQ(log.allocate(1, 64, "test"), c);
+}
+
+TEST(AllocLog, LoggedFailureReplaysAtTheSameIndex) {
+  CollectiveAllocLog log(2, 0, 256);
+  // Rank 0 runs ahead: 200 bytes, a failing 100, then frees the 200.
+  const std::uint64_t a = log.allocate(0, 200, "test");
+  EXPECT_THROW((void)log.allocate(0, 100, "test"), shmem::HeapExhaustedError);
+  log.release(0, a, "test");
+  // Rank 1 replays: by now 100 bytes would fit, but op 1 failed, so it
+  // fails here too.
+  EXPECT_EQ(log.allocate(1, 200, "test"), a);
+  EXPECT_THROW((void)log.allocate(1, 100, "test"), shmem::HeapExhaustedError);
+  log.release(1, a, "test");
+  // A later, smaller allocation succeeds on every rank at one offset.
+  const std::uint64_t b = log.allocate(1, 64, "test");
+  EXPECT_EQ(log.allocate(0, 64, "test"), b);
+}
+
+TEST(AllocLog, MismatchedCallsThrowLogicError) {
+  CollectiveAllocLog log(2, 0, 4096);
+  const std::uint64_t a = log.allocate(0, 64, "test");
+  EXPECT_THROW((void)log.allocate(1, 128, "test"), std::logic_error);  // size
+  log.release(0, a, "test");
+  // Rank 1's op 1 is an allocation where rank 0 freed: interleaved free.
+  EXPECT_THROW((void)log.allocate(1, 64, "test"), std::logic_error);
+  // And a free where the log holds an allocation.
+  (void)log.allocate(0, 32, "test");
+  EXPECT_THROW(log.release(1, a, "test"), std::logic_error);
 }
