@@ -8,7 +8,8 @@
 // traffic) plus the two 16k-image at-scale smokes (barrier storm, Himeno),
 // written as BENCH_engine.json and compared against the checked-in baseline
 // by scripts/bench_diff.py. The simulated metrics (event counts, MFLOPS)
-// double as determinism checks; the wall times gate host throughput.
+// double as determinism checks and are gated exact (the "exact" list); the
+// wall times gate host throughput.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -215,6 +216,7 @@ int run_json(const char* path) {
       "\"bench\": \"engine_micro\",\n"
       "\"unit\": \"mixed\",\n"
       "\"higher_is_better\": [\"events_per_sec\", \"switches_per_sec\"],\n"
+      "\"exact\": [\"events\", \"mflops\"],\n"
       "\"queue\": {\"nevents\": 100000, \"events_per_sec\": %.0f, "
       "\"steady_heap_slabs\": %llu},\n"
       "\"fiber\": {\"switches_per_sec\": %.0f},\n"

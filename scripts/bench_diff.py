@@ -29,6 +29,13 @@ for those metrics only. Use it for metrics that are legitimately noisier
 than the rest of the file (e.g. a p99 under a seeded fault plan). Like
 "higher_is_better", the block is metadata and is excluded from the walk.
 
+Exact metrics: a top-level "exact" array in the baseline lists leaf KEYS
+that must match exactly, whatever --tolerance and "tolerances" say. Use it
+for deterministic work counters and simulated results (event counts,
+MFLOPS) that share a file with noisy wall times: any change there is a
+behavior change, not noise. Like the other blocks it is metadata and is
+excluded from the leaf walk.
+
 --selftest runs the built-in unit checks (tempfile fixtures) and exits;
 scripts/ci.sh invokes it so a broken diff gate fails loudly instead of
 silently passing regressions.
@@ -133,6 +140,18 @@ def selftest():
         # Axis identity and the default tolerance still apply.
         ("axis mismatch", run(base, {**base, "images": 16}), 1),
         ("default tolerance", run(base, {**base, "bw_mbs": 95}), 0),
+        # An exact key binds in both directions, inside any tolerance.
+        ("exact binds",
+         run({**base, "exact": ["events"], "events": 100},
+             {**base, "events": 101}, ["--tolerance", "0.5"]), 1),
+        ("exact improvement binds",
+         run({**base, "exact": ["events"], "events": 100},
+             {**base, "events": 99}), 1),
+        ("exact equal passes",
+         run({**base, "exact": ["events"], "events": 100},
+             {**base, "events": 100}), 0),
+        ("malformed exact rejected",
+         run({**base, "exact": "events"}, dict(base)), 1),
     ]
     failed = [name for name, got, want in checks if got != want]
     for name, got, want in checks:
@@ -176,6 +195,14 @@ def main():
         return 1
     base.pop("tolerances", None)
     new.pop("tolerances", None)
+    exact_keys = base.get("exact", [])
+    if not isinstance(exact_keys, list):
+        print("bench_diff ERROR: top-level exact must be a list",
+              file=sys.stderr)
+        return 1
+    exact_keys = frozenset(exact_keys)
+    base.pop("exact", None)
+    new.pop("exact", None)
     new_leaves = dict(leaves(new))
     errors = []
     regressions = []
@@ -208,6 +235,10 @@ def main():
                 errors.append(f"{path}: axis changed {bval} -> {nval}")
             continue
         compared += 1
+        if last_key(path) in exact_keys:
+            if bval != nval:
+                regressions.append(f"{path}: {bval} -> {nval} (exact)")
+            continue
         if bval == 0:
             if nval != 0:
                 errors.append(f"{path}: baseline 0, new {nval}")

@@ -156,8 +156,9 @@ echo "=== Engine-core smoke: event/fiber throughput + 16k-image gates ==="
 # Host-side engine health: queue events/sec, fiber switches/sec, zero
 # steady-state heap slabs (exact-match gate), and the two at-scale smokes
 # (16k-image barrier storm and Himeno). Simulated event counts and MFLOPS
-# in the JSON double as byte-identity checks; wall times get a loose
-# tolerance below because they are host measurements, not DES output.
+# in the JSON double as byte-identity checks and are gated exact (the
+# baseline's "exact" list); wall times get a loose tolerance below because
+# they are host measurements, not DES output.
 ./build-release/bench/engine_micro --json "$ART/BENCH_engine.json"
 
 echo "=== Bench diff vs checked-in baselines (>10% = fail) ==="

@@ -100,7 +100,7 @@ Domain::NodeTele& Domain::node_tele(int pe) {
   return t;
 }
 
-net::PutCompletion Domain::node_oneway(const char* op, int me, int dst_pe,
+net::PutCompletion Domain::node_oneway(int me, int dst_pe,
                                        std::size_t wire_bytes,
                                        sim::Time extra_copy, NodeTele& t) {
   net::NodeChannel& ch = *node_;
@@ -133,8 +133,7 @@ net::PutCompletion Domain::node_oneway(const char* op, int me, int dst_pe,
       // The peer's shared segment is detached before the bytes land; a
       // shared-memory store cannot be retransmitted.
       fi->note_exhaustion(me, dst_pe, delivered);
-      engine_.advance_to(local_complete);
-      throw PeerFailedError(op, me, dst_pe, 1, delivered);
+      return {local_complete, delivered, false, 1};
     }
     fi->note_delivery(me, dst_pe, delivered);
   }
@@ -300,22 +299,39 @@ void Domain::poke(int dst_pe, std::uint64_t dst_off, const void* src,
   wake(dst_pe, dst_off, n, t);
 }
 
-void Domain::wait_until(std::uint64_t off, Cmp cmp, std::int64_t value,
-                        const char* block_op) {
+bool Domain::poll_or_watch(std::uint64_t off, Cmp cmp, std::int64_t value,
+                           const char* block_op) {
   if (off + sizeof(std::int64_t) > segment_bytes_) {
     throw std::out_of_range("fabric::Domain::wait_until beyond segment");
   }
   sim::Fiber* f = engine_.current_fiber();
   assert(f != nullptr && "fabric operations require a PE fiber context");
-  const std::byte* word = segments_[f->pe()].data() + off;
-  for (;;) {
-    std::int64_t v = 0;
-    std::memcpy(&v, word, sizeof v);
-    if (compare(v, cmp, value)) return;
-    watchers_[f->pe()].push_back({off, f});
-    f->set_block_op(block_op);
-    engine_.block();
-  }
+  std::int64_t v = 0;
+  std::memcpy(&v, segments_[f->pe()].data() + off, sizeof v);
+  if (compare(v, cmp, value)) return true;
+  watchers_[f->pe()].push_back({off, f});
+  f->set_block_op(block_op);
+  engine_.park_blocked();
+  return false;
+}
+
+void Domain::wait_until(std::uint64_t off, Cmp cmp, std::int64_t value,
+                        const char* block_op) {
+  struct Wait {
+    Domain* d;
+    std::uint64_t off;
+    Cmp cmp;
+    std::int64_t value;
+    const char* block_op;
+  } w{this, off, cmp, value, block_op};
+  // Each wake-up re-polls host-side; the fiber is switched in only once
+  // the word satisfies the comparison.
+  engine_.run_parked(
+      [](void* p) {
+        auto& w = *static_cast<Wait*>(p);
+        return w.d->poll_or_watch(w.off, w.cmp, w.value, w.block_op);
+      },
+      &w);
 }
 
 void Domain::wake(int pe, std::uint64_t off, std::size_t len, sim::Time t) {
@@ -334,39 +350,35 @@ void Domain::wake(int pe, std::uint64_t off, std::size_t len, sim::Time t) {
 net::PutCompletion Domain::put(int dst_pe, std::uint64_t dst_off,
                                const void* src, std::size_t n,
                                bool pipelined) {
+  const net::PutCompletion c = put_issue(dst_pe, dst_off, src, n, pipelined);
+  engine_.advance_to(c.local_complete);
+  if (!c.ok) {
+    throw PeerFailedError("put", current_pe(), dst_pe, c.attempts,
+                          c.delivered);
+  }
+  return c;
+}
+
+net::PutCompletion Domain::put_issue(int dst_pe, std::uint64_t dst_off,
+                                     const void* src, std::size_t n,
+                                     bool pipelined) {
   const int me = current_pe();
   if (dst_off + n > segment_bytes_) {
     throw std::out_of_range("fabric::Domain::put beyond segment");
   }
+  net::PutCompletion c;
   if (node_routed(me, dst_pe)) {
     // Node-local path: ring or NUMA memcpy, no fabric message. The producer
     // pays the copy either way, so nbi and blocking puts price identically.
     NodeTele& nt = node_tele(me);
-    const net::PutCompletion c = node_oneway("put", me, dst_pe, n, 0, nt);
-    ++*nt.puts;
-    const std::uint32_t pair = pair_id(me, dst_pe);
-    const sim::Time d = clamp_in_order(pair, c.delivered);
-    note_outstanding(me, d);
-    PendingMsg* m = msg_pool_.acquire();
-    m->t = d;
-    m->dst_pe = dst_pe;
-    m->op = PendingMsg::Op::kContig;
-    m->dst_off = dst_off;
-    m->payload_bytes = static_cast<std::uint32_t>(n);
-    m->buf = buf_pool_.acquire(n, &m->buf_cls);
-    std::memcpy(m->buf, src, n);
-    m->seq = engine_.reserve_seq();
-    stream_append(pair, m);
-    engine_.advance_to(c.local_complete);
-    return {c.local_complete, d, true, 1};
+    c = node_oneway(me, dst_pe, n, 0, nt);
+    if (c.ok) ++*nt.puts;
+  } else {
+    c = fabric_.submit_put(me, dst_pe, n, sw_, engine_.now(), pipelined);
   }
-  auto c = fabric_.submit_put(me, dst_pe, n, sw_, engine_.now(), pipelined);
-  if (!c.ok) {
-    // Don't record the give-up time as outstanding: the bytes never landed,
-    // and quiet() must not stall on them.
-    engine_.advance_to(c.local_complete);
-    throw PeerFailedError("put", me, dst_pe, c.attempts, c.delivered);
-  }
+  // A give-up is not recorded as outstanding: the bytes never land, and
+  // quiet() must not stall on them.
+  if (!c.ok) return c;
   const std::uint32_t pair = pair_id(me, dst_pe);
   c.delivered = clamp_in_order(pair, c.delivered);
   note_outstanding(me, c.delivered);
@@ -382,7 +394,6 @@ net::PutCompletion Domain::put(int dst_pe, std::uint64_t dst_off,
   std::memcpy(m->buf, src, n);
   m->seq = engine_.reserve_seq();
   stream_append(pair, m);
-  engine_.advance_to(c.local_complete);
   return c;
 }
 
@@ -398,39 +409,23 @@ net::PutCompletion Domain::put_scatter(int dst_pe, const ScatterRec* recs,
       throw std::out_of_range("fabric::Domain::put_scatter beyond segment");
     }
   }
+  net::PutCompletion c;
   if (node_routed(me, dst_pe)) {
     // Node-local vectored put: one copy of the packed payload plus
     // per-record pointer math; the (offset, length) headers never exist —
     // there is no wire message to carry them.
     NodeTele& nt = node_tele(me);
-    const net::PutCompletion c = node_oneway(
-        "put_scatter", me, dst_pe, payload_bytes,
-        static_cast<sim::Time>(nrecs) * net::NodeChannel::kElemGap, nt);
-    ++*nt.scatters;
-    const std::uint32_t pair = pair_id(me, dst_pe);
-    const sim::Time d = clamp_in_order(pair, c.delivered);
-    note_outstanding(me, d);
-    const std::size_t hdr = nrecs * sizeof(ScatterRec);
-    PendingMsg* m = msg_pool_.acquire();
-    m->t = d;
-    m->dst_pe = dst_pe;
-    m->op = PendingMsg::Op::kScatter;
-    m->nelems = static_cast<std::uint32_t>(nrecs);
-    m->payload_bytes = static_cast<std::uint32_t>(payload_bytes);
-    m->payload_off = static_cast<std::uint32_t>(hdr);
-    m->buf = buf_pool_.acquire(hdr + payload_bytes, &m->buf_cls);
-    std::memcpy(m->buf, recs, hdr);
-    std::memcpy(m->buf + hdr, payload, payload_bytes);
-    m->seq = engine_.reserve_seq();
-    stream_append(pair, m);
-    engine_.advance_to(c.local_complete);
-    return {c.local_complete, d, true, 1};
+    c = node_oneway(me, dst_pe, payload_bytes,
+                    static_cast<sim::Time>(nrecs) * net::NodeChannel::kElemGap,
+                    nt);
+    if (c.ok) ++*nt.scatters;
+  } else {
+    // One wire message: packed payload plus an (offset, length) header per
+    // record. The whole vector shares a single injection cost — that is
+    // the entire point of write combining.
+    const std::size_t wire = payload_bytes + nrecs * kScatterRecWire;
+    c = fabric_.submit_put(me, dst_pe, wire, sw_, engine_.now(), pipelined);
   }
-  // One wire message: packed payload plus an (offset, length) header per
-  // record. The whole vector shares a single injection cost — that is the
-  // entire point of write combining.
-  const std::size_t wire = payload_bytes + nrecs * kScatterRecWire;
-  auto c = fabric_.submit_put(me, dst_pe, wire, sw_, engine_.now(), pipelined);
   if (!c.ok) {
     engine_.advance_to(c.local_complete);
     throw PeerFailedError("put_scatter", me, dst_pe, c.attempts, c.delivered);
@@ -526,41 +521,19 @@ void Domain::iput_hw(int dst_pe, std::uint64_t dst_off,
   if (span > segment_bytes_) {
     throw std::out_of_range("fabric::Domain::iput_hw beyond segment");
   }
+  net::PutCompletion c;
   if (node_routed(me, dst_pe)) {
     // Node-local strided put: the producer core walks both strides itself;
     // the NIC's scatter engine is not involved.
     NodeTele& nt = node_tele(me);
-    const net::PutCompletion c = node_oneway(
-        "iput", me, dst_pe, elem_bytes * nelems,
-        static_cast<sim::Time>(nelems) * net::NodeChannel::kElemGap, nt);
-    ++*nt.strided;
-    const std::uint32_t pair = pair_id(me, dst_pe);
-    const sim::Time d = clamp_in_order(pair, c.delivered);
-    note_outstanding(me, d);
-    PendingMsg* m = msg_pool_.acquire();
-    m->t = d;
-    m->dst_pe = dst_pe;
-    m->op = PendingMsg::Op::kStrided;
-    m->dst_off = dst_off;
-    m->dst_stride = dst_stride;
-    m->elem_bytes = static_cast<std::uint32_t>(elem_bytes);
-    m->nelems = static_cast<std::uint32_t>(nelems);
-    m->payload_bytes = static_cast<std::uint32_t>(elem_bytes * nelems);
-    m->buf = buf_pool_.acquire(elem_bytes * nelems, &m->buf_cls);
-    const auto* sp = static_cast<const std::byte*>(src);
-    for (std::size_t i = 0; i < nelems; ++i) {
-      std::memcpy(m->buf + i * elem_bytes,
-                  sp + static_cast<std::ptrdiff_t>(i) * src_stride *
-                          static_cast<std::ptrdiff_t>(elem_bytes),
-                  elem_bytes);
-    }
-    m->seq = engine_.reserve_seq();
-    stream_append(pair, m);
-    engine_.advance_to(c.local_complete);
-    return;
+    c = node_oneway(me, dst_pe, elem_bytes * nelems,
+                    static_cast<sim::Time>(nelems) * net::NodeChannel::kElemGap,
+                    nt);
+    if (c.ok) ++*nt.strided;
+  } else {
+    c = fabric_.submit_strided_put(me, dst_pe, elem_bytes, nelems, sw_,
+                                   engine_.now(), pipelined);
   }
-  auto c = fabric_.submit_strided_put(me, dst_pe, elem_bytes, nelems,
-                                      sw_, engine_.now(), pipelined);
   if (!c.ok) {
     engine_.advance_to(c.local_complete);
     throw PeerFailedError("iput", me, dst_pe, c.attempts, c.delivered);

@@ -150,6 +150,15 @@ class Domain {
   net::PutCompletion put(int dst_pe, std::uint64_t dst_off, const void* src,
                          std::size_t n, bool pipelined = false);
 
+  /// The issue half of put(), for parked steps (sim::Engine::run_parked):
+  /// captures the payload and queues the delivery exactly as put() does,
+  /// but returns without advancing the clock or throwing. The caller parks
+  /// until `local_complete` and, when `ok` is false (retransmit budget
+  /// exhausted), then raises PeerFailedError as put() would.
+  net::PutCompletion put_issue(int dst_pe, std::uint64_t dst_off,
+                               const void* src, std::size_t n,
+                               bool pipelined = false);
+
   /// Writes `n` bytes into `dst_pe`'s segment immediately (at the current
   /// scheduler event's virtual time `t`) and wakes overlapping waiters at
   /// `t`. Used by active-message handlers, which mutate target memory from
@@ -206,6 +215,13 @@ class Domain {
   void wait_until(std::uint64_t off, Cmp cmp, std::int64_t value,
                   const char* block_op);
 
+  /// The step-side half of wait_until(), and its only word check: true when
+  /// the word already satisfies `cmp`/`value`; otherwise registers the
+  /// calling fiber as the word's watcher, parks it blocked
+  /// (sim::Engine::park_blocked) and returns false. Call from a parked step.
+  bool poll_or_watch(std::uint64_t off, Cmp cmp, std::int64_t value,
+                     const char* block_op);
+
  private:
   int current_pe() const;
   void note_outstanding(int src_pe, sim::Time t);
@@ -242,12 +258,11 @@ class Domain {
   NodeTele& node_tele(int pe);
   /// Prices a same-node one-way transfer (ring when small and contiguous,
   /// NUMA memcpy otherwise) with fault dilation, bumps ring/bulk telemetry,
-  /// and fails if the peer's segment is detached before delivery.
-  /// `extra_copy` carries per-element/record gaps (forces the bulk path).
-  /// Returns {local_complete, delivered}.
-  net::PutCompletion node_oneway(const char* op, int me, int dst_pe,
-                                 std::size_t wire_bytes, sim::Time extra_copy,
-                                 NodeTele& t);
+  /// and reports `ok == false` if the peer's segment is detached before
+  /// delivery. `extra_copy` carries per-element/record gaps (forces the
+  /// bulk path). Returns {local_complete, delivered, ok, 1}.
+  net::PutCompletion node_oneway(int me, int dst_pe, std::size_t wire_bytes,
+                                 sim::Time extra_copy, NodeTele& t);
 
   // ---- pair streams ----
   //

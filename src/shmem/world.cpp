@@ -6,7 +6,67 @@
 
 namespace shmem {
 
+namespace {
+
+// The dissemination rounds of shmem_barrier_all and shmem_barrier as one
+// parked step (sim::Engine::run_parked), run host-side at each of the PE's
+// resume events: in round r, `rank` notifies rank + 2^r and waits for
+// rank - 2^r. Round r's flag is the int64 8r bytes past round 0's. Flag
+// values are monotone generations, so slots are reusable without sense
+// reversal. A round is the put, local-completion wait and flag wait that
+// putmem_nbi and wait_until make, in the same order, so every event keeps
+// its (time, seq).
+struct Dissemination {
+  enum class Phase { kIssue, kLocalComplete, kWait };
+
+  fabric::Domain* domain;
+  ActiveSet peers;  ///< rank -> world PE
+  int rank;
+  std::uint64_t flag;  ///< this round's flag; round 0's is the base
+  std::int64_t gen;
+  int dist = 1;
+  Phase phase = Phase::kIssue;
+  net::PutCompletion put{};
+
+  int peer() const { return peers.world_pe((rank + dist) % peers.pe_size); }
+
+  static bool step(void* self) {
+    return static_cast<Dissemination*>(self)->run();
+  }
+
+  bool run() {
+    for (;;) {
+      switch (phase) {
+        case Phase::kIssue:
+          if (dist >= peers.pe_size) return true;
+          put = domain->put_issue(peer(), flag, &gen, sizeof gen,
+                                 /*pipelined=*/true);
+          phase = Phase::kLocalComplete;
+          if (domain->engine().park_until(put.local_complete)) return false;
+          [[fallthrough]];
+        case Phase::kLocalComplete:
+          if (!put.ok) {
+            throw fabric::PeerFailedError("put", peers.world_pe(rank), peer(),
+                                          put.attempts, put.delivered);
+          }
+          phase = Phase::kWait;
+          [[fallthrough]];
+        case Phase::kWait:
+          if (!domain->poll_or_watch(flag, Cmp::kGe, gen, "shmem_wait_until")) {
+            return false;
+          }
+          dist <<= 1;
+          flag += sizeof(std::int64_t);
+          phase = Phase::kIssue;
+      }
+    }
+  }
+};
+
+}  // namespace
+
 struct World::CollectiveState {
+  Dissemination barrier{};  ///< the parked barrier step's state
   std::int64_t barrier_gen = 0;
   std::int64_t bcast_gen = 0;
   std::int64_t reduce_gen = 0;
@@ -15,6 +75,14 @@ struct World::CollectiveState {
 World::World(sim::Engine& engine, net::Fabric& fabric, net::SwProfile sw,
              std::size_t heap_bytes)
     : engine_(engine) {
+  // The internal flag and slot arrays hold one entry per round; a larger
+  // world would run past them into the next array and the user heap.
+  if (fabric.npes() > (1 << kMaxRounds)) {
+    throw std::invalid_argument(
+        "shmem::World: " + std::to_string(fabric.npes()) +
+        " PEs exceed the supported maximum of " +
+        std::to_string(1 << kMaxRounds));
+  }
   // Internal symmetric layout at the base of every segment.
   std::uint64_t off = 0;
   barrier_flags_off_ = off;
@@ -239,20 +307,17 @@ void World::barrier_all() {
   const int me = my_pe();
   const int n = n_pes();
   if (n == 1) return;
-  auto& cs = *coll_[me];
-  const std::int64_t gen = ++cs.barrier_gen;
-  // Dissemination barrier: log2(n) rounds; in round r notify (me + 2^r) and
-  // wait for (me - 2^r). Flag values are monotone generations, so slots are
-  // reusable without sense reversal.
-  int round = 0;
-  for (int dist = 1; dist < n; dist <<= 1, ++round) {
-    assert(round < kMaxRounds);
-    const int peer = (me + dist) % n;
-    auto* flag_addr = reinterpret_cast<std::int64_t*>(
-        domain_->segment(me) + barrier_flags_off_) + round;
-    putmem_nbi(flag_addr, &gen, sizeof gen, peer);
-    wait_until(flag_addr, Cmp::kGe, gen);
-  }
+  const std::int64_t gen = ++coll_[me]->barrier_gen;
+  dissemination_barrier(ActiveSet{0, 0, n}, me, barrier_flags_off_, gen);
+}
+
+void World::dissemination_barrier(const ActiveSet& peers, int rank,
+                                  std::uint64_t flag_off, std::int64_t gen) {
+  // The step's state lives with the PE's other collective state, not on
+  // the parked fiber's stack, which the scheduler would touch cold.
+  Dissemination& d = coll_[peers.world_pe(rank)]->barrier;
+  d = Dissemination{domain_.get(), peers, rank, flag_off, gen};
+  engine_.run_parked(&Dissemination::step, &d);
 }
 
 void World::broadcast(void* buf, std::size_t nbytes, int root) {
@@ -406,15 +471,7 @@ void World::barrier(const ActiveSet& as, std::int64_t* pSync) {
   const int n = as.pe_size;
   if (n == 1) return;
   const std::uint64_t psync_off = sym_off(pSync, "shmem_barrier pSync");
-  const std::int64_t gen = next_psync_gen(me, psync_off);
-  int round = 0;
-  for (int dist = 1; dist < n; dist <<= 1, ++round) {
-    assert(round < static_cast<int>(kSyncSize) - 1);
-    const int peer = as.world_pe((rel + dist) % n);
-    auto* flag = pSync + round;
-    putmem_nbi(flag, &gen, sizeof gen, peer);
-    wait_until(flag, Cmp::kGe, gen);
-  }
+  dissemination_barrier(as, rel, psync_off, next_psync_gen(me, psync_off));
 }
 
 void World::broadcast(const ActiveSet& as, void* dst, const void* src,

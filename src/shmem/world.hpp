@@ -219,6 +219,10 @@ class World {
   struct CollectiveState;  // per-PE internal offsets & generation counters
 
   std::uint64_t sym_off(const void* ptr, const char* what) const;
+  /// The dissemination barrier shared by barrier_all() and barrier(): the
+  /// calling PE is `rank` of `peers`, round r's flag sits at flag_off + 8r.
+  void dissemination_barrier(const ActiveSet& peers, int rank,
+                             std::uint64_t flag_off, std::int64_t gen);
   void reduce_bytes(void* dst, const void* src, std::size_t nelems,
                     std::size_t elem_bytes,
                     const std::function<void(void*, const void*)>& combine);
@@ -243,7 +247,7 @@ class World {
   std::uint64_t reduce_flags_off_ = 0;    // kMaxRounds int64
   std::uint64_t reduce_slots_off_ = 0;    // kMaxRounds * kReduceSlotBytes
 
-  static constexpr int kMaxRounds = 16;   // supports up to 65536 PEs
+  static constexpr int kMaxRounds = 16;   // 1 << kMaxRounds PEs at most
   static constexpr std::size_t kReduceSlotBytes = 8192;
 };
 

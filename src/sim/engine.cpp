@@ -4,6 +4,7 @@
 #include <cassert>
 #include <new>
 #include <sstream>
+#include <utility>
 
 namespace sim {
 
@@ -106,6 +107,7 @@ void Engine::advance(Time dt) {
 void Engine::advance_to(Time t) {
   Fiber* f = current_;
   assert(f != nullptr && "advance_to() requires a fiber context");
+  assert(f->step_ == nullptr && "advance_to() inside a step: use park_until");
   if (t <= f->clock()) return;
   // Leave the fiber and re-enter once the virtual clock reaches t, so any
   // deliveries with timestamps in (now, t] land in memory first.
@@ -125,9 +127,73 @@ void Engine::tick(Time dt) {
 void Engine::block() {
   Fiber* f = current_;
   assert(f != nullptr && "block() requires a fiber context");
+  assert(f->step_ == nullptr && "block() inside a step: use park_blocked");
   f->state_ = Fiber::State::kBlocked;
   f->switch_out();
   if (f->kill_pending_) throw FiberKilled{};
+}
+
+void Engine::run_parked(ParkedStep step, void* ctx) {
+  Fiber* f = current_;
+  assert(f != nullptr && "run_parked() requires a fiber context");
+  assert(f->step_ == nullptr && "run_parked() does not nest");
+  f->step_ = step;
+  f->step_ctx_ = ctx;
+  bool done;
+  try {
+    done = step(ctx);  // on the fiber stack: an exception propagates as is
+  } catch (...) {
+    f->step_ = nullptr;
+    throw;
+  }
+  if (!done) {
+    assert(f->state_ != Fiber::State::kRunning && "step returned unparked");
+    f->switch_out();  // back once the step is done, threw, or a kill landed
+  }
+  f->step_ = nullptr;
+  f->step_ctx_ = nullptr;
+  if (done) return;
+  if (f->kill_pending_) throw FiberKilled{};
+  if (f->step_error_) std::rethrow_exception(std::exchange(f->step_error_, {}));
+}
+
+bool Engine::park_until(Time t) {
+  Fiber* f = current_;
+  assert(f != nullptr && f->step_ != nullptr &&
+         "park_until() requires a step context");
+  if (t <= f->clock()) return false;
+  f->set_clock(t);
+  f->state_ = Fiber::State::kRunnable;
+  schedule_resume(*f);
+  return true;
+}
+
+void Engine::park_blocked() {
+  Fiber* f = current_;
+  assert(f != nullptr && f->step_ != nullptr &&
+         "park_blocked() requires a step context");
+  f->state_ = Fiber::State::kBlocked;
+}
+
+bool Engine::run_step(Fiber& f) {
+  // The step stands in for the fiber at this event: now(), current_fiber()
+  // and the park verbs see it as running, on the scheduler stack.
+  current_ = &f;
+  f.state_ = Fiber::State::kRunning;
+  bool done;
+  try {
+    done = f.step_(f.step_ctx_);
+  } catch (...) {
+    f.step_error_ = std::current_exception();
+    done = true;
+  }
+  current_ = nullptr;
+  if (done) {
+    f.state_ = Fiber::State::kRunnable;  // switched in at this same event
+  } else {
+    assert(f.state_ != Fiber::State::kRunning && "step returned unparked");
+  }
+  return done;
 }
 
 void Engine::resume(Fiber& f, Time t) {
@@ -246,6 +312,11 @@ void Engine::run() {
         case EventNode::Kind::kFiberResume: {
           Fiber* f = n->u.fiber;
           pool_.release(n);
+          // A parked fiber's step runs here, host-side; a kill or a done
+          // step switches the fiber in.
+          if (f->step_ != nullptr && !f->kill_pending_ && !run_step(*f)) {
+            break;
+          }
           run_fiber(*f, f->clock());
           break;
         }

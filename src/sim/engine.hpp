@@ -148,6 +148,35 @@ class Engine {
   /// Blocks the current fiber until some other event calls resume().
   void block();
 
+  // ---- parked steps ----
+  //
+  // A fiber whose operation is a chain of "issue something, then wait until
+  // time t or until a watched word changes" can run that chain as a
+  // host-side step instead of yielding for each wait. run_parked calls the
+  // step at once; while it reports "not done" the fiber stays parked, and
+  // each of its resume events calls the step again on the scheduler stack
+  // rather than switching in. The step parks with its own verbs, which
+  // consume exactly the sequence numbers advance_to()/block() would: one
+  // resume event per park_until, one per wake-up of park_blocked. So every
+  // event keeps its (time, seq) and only switches disappear.
+
+  /// Runs `step(ctx)` as described above and returns, after one switch-in,
+  /// at the resume event where it reported done. Throws FiberKilled if the
+  /// PE was killed while parked (at the next resume event, as advance_to
+  /// and block do), and rethrows, at the same event, an exception the step
+  /// threw on the scheduler stack. Must be called from a fiber.
+  void run_parked(ParkedStep step, void* ctx);
+
+  /// Step-side advance_to(): when `t` is past the fiber's clock, sets the
+  /// clock to `t`, queues its resume event and returns true; the step must
+  /// then return false. Returns false (nothing parked) otherwise.
+  bool park_until(Time t);
+
+  /// Step-side block(): parks the fiber until some event calls resume().
+  /// The caller has registered the watcher that will; the step must then
+  /// return false.
+  void park_blocked();
+
   /// Makes `f` runnable again at absolute time `t` (>= its own clock).
   /// A no-op for fibers that are already runnable or finished (e.g. stale
   /// watcher wake-ups racing a kill); must not target a running fiber.
@@ -263,6 +292,10 @@ class Engine {
   void push_raw(Time t, std::uint64_t seq, RawFn fn, void* ctx,
                 std::uint64_t a, std::uint64_t b);
   void run_fiber(Fiber& f, Time t);
+  /// Runs a parked fiber's step at its resume event. Returns true when the
+  /// fiber must be switched in now (step done or threw), false when the
+  /// step parked it again.
+  bool run_step(Fiber& f);
   /// Accounting when a fiber reaches kFinished: releases its pooled stack,
   /// drops the captured body, and decrements the live counter.
   void retire_fiber(Fiber& f);

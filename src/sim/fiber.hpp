@@ -6,7 +6,7 @@
 // communication event. All fibers run on the host's single OS thread, so no
 // locking is required anywhere in the simulation.
 //
-// Two implementation choices keep 16k-fiber runs fast:
+// Three implementation choices keep 16k-fiber runs fast:
 //
 //   * Stacks are pooled and lazy: a fiber owns no stack until its first
 //     switch-in (Engine hands one out of its StackPool) and gives it back
@@ -18,6 +18,14 @@
 //     still used once per fiber to bootstrap onto its stack. Sanitizer
 //     builds force the pure-ucontext path (SIM_FIBER_UCONTEXT) because ASan
 //     tracks fiber stacks through the swapcontext interceptor.
+//   * Parked steps (Engine::run_parked) skip switches altogether: a fiber
+//     whose operation is a chain of "issue, then wait for time t or for a
+//     word" hands that chain to the engine as a host-side step, which runs
+//     on the scheduler stack at each of the fiber's resume events. The
+//     fiber is switched in once, when the step is done. At 16k PEs every
+//     switch lands on a stack that thousands of other fibers have evicted
+//     from cache and TLB since, so a dissemination barrier's per-round
+//     switches were most of its host cost.
 #pragma once
 
 #include <setjmp.h>
@@ -51,6 +59,11 @@ class Engine;
 /// workload code that catches (std::exception&) or specific error types must
 /// not be able to swallow a kill; only the fiber trampoline catches it.
 struct FiberKilled {};
+
+/// A parked fiber's host-side continuation (see Engine::run_parked). Returns
+/// true when the fiber's operation is done, false after parking the fiber
+/// with Engine::park_until or Engine::park_blocked.
+using ParkedStep = bool (*)(void* ctx);
 
 class Fiber {
  public:
@@ -118,6 +131,14 @@ class Fiber {
   bool kill_pending_ = false;
   const char* block_op_ = nullptr;
   int block_peer_ = -1;
+  // Set while the fiber is inside Engine::run_parked: its resume events run
+  // step_(step_ctx_) on the scheduler stack instead of switching in (kept
+  // next to state_ and kill_pending_, which the same dispatch reads). An
+  // exception a step throws there is kept in step_error_ and rethrown in
+  // the fiber, at the same event, by run_parked.
+  ParkedStep step_ = nullptr;
+  void* step_ctx_ = nullptr;
+  std::exception_ptr step_error_;
 
   std::size_t stack_bytes_;   // requested; page-rounded by the pool
   StackPool::Stack stack_{};  // empty until first switch-in

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "net/profiles.hpp"
@@ -260,6 +262,36 @@ TEST(ShmemWorld, BarrierActuallySynchronizes) {
     h.world.barrier_all();
     EXPECT_GE(h.engine.now(), 16'000);
   });
+}
+
+// Exact work counters of 8 barrier_all calls at 64 PEs, a host-independent
+// gate on the barrier's host cost. The event count is the simulated
+// schedule and must never move; the switch count is what the parked
+// dissemination step saves (the per-round fiber loop made 5,987 switches).
+TEST(ShmemWorld, BarrierAllWorkCountersAreExact) {
+  Harness h(64);
+  std::vector<sim::Time> left(64, -1);
+  h.run([&] {
+    h.engine.advance(100 * (h.world.my_pe() % 5));
+    for (int k = 0; k < 8; ++k) h.world.barrier_all();
+    left[h.world.my_pe()] = h.engine.now();
+  });
+  const sim::EngineStats st = h.engine.stats();
+  EXPECT_EQ(st.events, 9'059u);
+  // 64 first switch-ins, 51 after a non-zero stagger, 1 per barrier per PE.
+  EXPECT_EQ(st.switches, 627u);
+  EXPECT_EQ(*std::max_element(left.begin(), left.end()), 37'381);
+}
+
+TEST(ShmemWorld, RejectsMorePesThanTheRoundArraysHold) {
+  sim::Engine engine;
+  net::Fabric fabric(net::machine_profile(net::Machine::kStampede),
+                     (1 << 16) + 1);
+  EXPECT_THROW(World(engine, fabric,
+                     net::sw_profile(net::Library::kShmemMvapich,
+                                     net::Machine::kStampede),
+                     2 << 20),
+               std::invalid_argument);
 }
 
 class ShmemCollectives : public ::testing::TestWithParam<int> {};
