@@ -16,7 +16,7 @@ cmake -B build-release -S . "${GENERATOR[@]}" -DCMAKE_BUILD_TYPE=Release
 cmake --build build-release -j "$JOBS"
 ctest --test-dir build-release --output-on-failure -j "$JOBS"
 
-echo "=== Sanitize build (ASan/UBSan) + fault/sim/coll/lib-label tests ==="
+echo "=== Sanitize build (ASan/UBSan) + fault/sim/coll/lib/caf-label tests ==="
 # The `sim` label carries the engine-scale tests (16k lazily-stacked fibers,
 # pool recycling, kill-during-lazy-stack); under ASan the fiber layer falls
 # back to the instrumented swapcontext path, so this leg checks both context
@@ -24,13 +24,15 @@ echo "=== Sanitize build (ASan/UBSan) + fault/sim/coll/lib-label tests ==="
 # engine's conformance tests: the engine is the runtime's only
 # co_broadcast/co_<op> path, in fault-free and resilient runs alike. The
 # `lib` label carries the five libraries' own tests and the Domain's: the
-# shared wait table and collective-allocation log live there.
+# shared wait table and collective-allocation log live there. The `caf`
+# label carries the runtime's conduit conformance, lock and RMA-pipeline
+# tests, which cover the conduits' deferred-quiet put tracker.
 cmake -B build-sanitize -S . "${GENERATOR[@]}" -DCMAKE_BUILD_TYPE=Sanitize
 cmake --build build-sanitize -j "$JOBS" --target test_faults test_sim test_sim_scale test_intranode test_rpc test_rpc_faults test_nonblocking test_coll \
-  test_fabric test_shmem test_gasnet test_mpi3 test_armci test_craycaf
+  test_fabric test_shmem test_gasnet test_mpi3 test_armci test_craycaf test_caf
 ASAN_OPTIONS=${ASAN_OPTIONS:-detect_leaks=1:strict_string_checks=1} \
 UBSAN_OPTIONS=${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1} \
-  ctest --test-dir build-sanitize -L "faults|sim|intranode|rpc|coll|lib" --output-on-failure -j "$JOBS"
+  ctest --test-dir build-sanitize -L "faults|sim|intranode|rpc|coll|lib|caf" --output-on-failure -j "$JOBS"
 
 echo "=== Bench smoke: RMA pipeline ==="
 # Exercise the put-bandwidth harness (including the CAF aggregation panels)

@@ -3,8 +3,6 @@
 // entry slice and build one MCS/ticket lock per stripe.
 #pragma once
 
-#include <cstring>
-
 #include "apps/dht.hpp"
 #include "caf/runtime.hpp"
 #include "craycaf/craycaf.hpp"
@@ -22,8 +20,8 @@ inline Table<caf::Runtime, caf::CoLock> make_caf_table(caf::Runtime& rt,
                                                        const Config& cfg) {
   const std::uint64_t data_off = rt.allocate_coarray_bytes(
       static_cast<std::size_t>(cfg.buckets_per_image) * sizeof(Entry));
-  std::memset(rt.local_addr(data_off), 0,
-              static_cast<std::size_t>(cfg.buckets_per_image) * sizeof(Entry));
+  rt.conduit().clear(data_off, static_cast<std::size_t>(cfg.buckets_per_image) *
+                                   sizeof(Entry));
   std::vector<caf::CoLock> locks;
   locks.reserve(static_cast<std::size_t>(cfg.locks_per_image));
   for (int i = 0; i < cfg.locks_per_image; ++i) {
@@ -37,8 +35,8 @@ inline Table<craycaf::Runtime, craycaf::CoLock> make_craycaf_table(
     craycaf::Runtime& rt, const Config& cfg) {
   const std::uint64_t data_off = rt.allocate(
       static_cast<std::size_t>(cfg.buckets_per_image) * sizeof(Entry));
-  std::memset(rt.local_addr(data_off), 0,
-              static_cast<std::size_t>(cfg.buckets_per_image) * sizeof(Entry));
+  rt.clear(data_off,
+           static_cast<std::size_t>(cfg.buckets_per_image) * sizeof(Entry));
   std::vector<craycaf::CoLock> locks;
   locks.reserve(static_cast<std::size_t>(cfg.locks_per_image));
   for (int i = 0; i < cfg.locks_per_image; ++i) {

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "apps/dht.hpp"
@@ -119,8 +118,8 @@ inline Table make_rpc_table(caf::Runtime& rt, const Config& cfg,
                             int window = 16) {
   const std::uint64_t data_off = rt.allocate_coarray_bytes(
       static_cast<std::size_t>(cfg.buckets_per_image) * sizeof(Entry));
-  std::memset(rt.local_addr(data_off), 0,
-              static_cast<std::size_t>(cfg.buckets_per_image) * sizeof(Entry));
+  rt.conduit().clear(data_off, static_cast<std::size_t>(cfg.buckets_per_image) *
+                                   sizeof(Entry));
   rt.sync_all();
   return Table(rt, cfg, data_off, window);
 }

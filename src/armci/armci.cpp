@@ -1,7 +1,6 @@
 #include "armci/armci.hpp"
 
 #include <cassert>
-#include <cstring>
 #include <stdexcept>
 
 namespace armci {
@@ -146,8 +145,8 @@ int World::create_mutexes(int count) {
   mutex_created_[me()] = 1;
   mutex_off_ = malloc_collective(static_cast<std::size_t>(count) *
                                  sizeof(std::int64_t));
-  std::memset(domain_->segment(me()) + mutex_off_, 0,
-              static_cast<std::size_t>(count) * sizeof(std::int64_t));
+  heap_->clear(domain_->segment(me()), mutex_off_,
+               static_cast<std::size_t>(count) * sizeof(std::int64_t));
   mutexes_ = count;
   barrier();
   return 0;

@@ -59,6 +59,8 @@ class World {
   fabric::Domain& domain() { return *domain_; }
   std::byte* base(int proc) { return domain_->segment(proc); }
   std::size_t seg_bytes() const { return domain_->segment_bytes(); }
+  /// The ARMCI_Malloc/ARMCI_Free replay log.
+  const shmem::CollectiveAllocLog& heap_log() const { return *heap_; }
 
   /// ARMCI_Malloc: collective; every process contributes `bytes` and learns
   /// the offset (identical across processes in this model, like a

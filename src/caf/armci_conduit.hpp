@@ -82,6 +82,9 @@ class ArmciConduit final : public Conduit {
   armci::World& world() { return world_; }
 
  protected:
+  const shmem::CollectiveAllocLog& alloc_log() const override {
+    return world_.heap_log();
+  }
   void do_put(int rank, std::uint64_t dst_off, const void* src, std::size_t n,
               bool nbi) override {
     if (nbi) {

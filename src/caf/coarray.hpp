@@ -185,7 +185,7 @@ class AtomicCell {
  public:
   explicit AtomicCell(Runtime& rt)
       : rt_(&rt), off_(rt.allocate_coarray_bytes(sizeof(std::int64_t))) {
-    std::memset(rt.local_addr(off_), 0, sizeof(std::int64_t));
+    rt.conduit().clear(off_, sizeof(std::int64_t));
     rt.conduit().barrier();
   }
   std::uint64_t offset() const { return off_; }

@@ -148,6 +148,15 @@ class CollectiveEngine {
                            std::uint64_t epoch);
 
   const CollOptions& options() const { return opts_; }
+
+  /// The block init() carves first: every flag, counter and ack word the
+  /// engine waits on or signals, packed ahead of the slot and bank arrays so
+  /// an image's control state sits in one 4 KiB span.
+  struct Block {
+    std::uint64_t off = 0;
+    std::size_t bytes = 0;
+  };
+  Block control_block() const { return control_; }
   const CollTelemetry& telemetry() { return state().tele; }
 
   /// Staging granularity of the non-pipelined arms (one slot bank).
@@ -313,6 +322,7 @@ class CollectiveEngine {
   int rd_rounds_ = 1;   ///< slots provisioned for recursive doubling
 
   // Symmetric staging areas (offsets identical on every image).
+  Block control_;  ///< holds every flag/ctr/ack/bar_* word below
   std::uint64_t bc_slot_off_ = 0;    ///< kBcBanks ring of broadcast slots
   std::uint64_t bc_flag_off_ = 0;    ///< kBcBanks ring of broadcast flags
   std::uint64_t tree_slot_off_ = 0;  ///< per-level binomial-reduce slots

@@ -31,6 +31,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <unordered_set>
 #include <vector>
 
 #include "fabric/domain.hpp"  // fabric::ScatterRec
@@ -106,6 +107,13 @@ class Conduit {
   /// segment offset. Includes an implicit barrier.
   virtual std::uint64_t allocate(std::size_t bytes) = 0;
   virtual void deallocate(std::uint64_t offset) = 0;
+  /// Zeroes [off, off+n) of the calling rank's segment, inside one live
+  /// allocation. Writes only bytes an earlier allocation handed out: the
+  /// rest is still zero from the calloc'd segment, so zeroing a fresh area
+  /// faults in no pages (shmem::CollectiveAllocLog::clear).
+  void clear(std::uint64_t off, std::size_t n) {
+    alloc_log().clear(segment(rank()), off, n);
+  }
 
   // ---- one-sided RMA (non-virtual fronts over do_* hooks) ----
   void put(int rank, std::uint64_t dst_off, const void* src, std::size_t n,
@@ -150,24 +158,33 @@ class Conduit {
   void quiet() {
     Tracker& t = tracker();
     ++*t.quiet_calls;
-    if (t.dirty_list.empty()) {
+    if (t.dirty.empty()) {
       ++*t.quiet_elided;
       return;
     }
-    obs::Span sp(obs::Cat::kQuiet, t.dirty_list.size());
+    obs::Span sp(obs::Cat::kQuiet, t.dirty.size());
     do_quiet();
-    for (int r : t.dirty_list) t.dirty[static_cast<std::size_t>(r)] = 0;
-    t.dirty_list.clear();
+    // clear() keeps the bucket array, so the usual handful of targets reuses
+    // it without an allocation; a set that outgrew it is dropped instead, so
+    // a rank that once put to every image holds no O(nranks()) table.
+    if (t.dirty.bucket_count() > kTrackerKeptBuckets) {
+      t.dirty = std::unordered_set<int>();
+    } else {
+      t.dirty.clear();
+    }
   }
 
   /// True when this rank has issued puts to `target` not yet covered by a
   /// quiet().
-  bool pending(int target) {
-    Tracker& t = tracker();
-    return t.dirty[static_cast<std::size_t>(target)] != 0;
-  }
+  bool pending(int target) { return tracker().dirty.count(target) != 0; }
   /// True when any put from this rank is outstanding.
-  bool pending_any() { return !tracker().dirty_list.empty(); }
+  bool pending_any() { return !tracker().dirty.empty(); }
+  /// Buckets this rank's dirty-target set holds; at most
+  /// kTrackerKeptBuckets after a quiet(), whatever it held before.
+  std::size_t tracker_buckets() { return tracker().dirty.bucket_count(); }
+  /// Largest bucket array a quiet() keeps for reuse (libstdc++ starts a
+  /// set at 13 buckets).
+  static constexpr std::size_t kTrackerKeptBuckets = 16;
 
   // ---- 64-bit remote atomics (non-virtual fronts over do_amo_* hooks) ----
   std::int64_t amo_swap(int rank, std::uint64_t off, std::int64_t value) {
@@ -249,16 +266,19 @@ class Conduit {
   virtual std::int64_t do_amo_fxor(int rank, std::uint64_t off,
                                    std::int64_t mask) = 0;
   virtual void do_barrier() = 0;
+  /// The replay log behind allocate()/deallocate().
+  virtual const shmem::CollectiveAllocLog& alloc_log() const = 0;
 
  private:
   /// Per-issuing-rank dirty-target tracking. All images share one Conduit
-  /// object per stack, so state is keyed by the calling fiber's rank.
+  /// object per stack, so state is keyed by the calling fiber's rank. The
+  /// dirty set holds only the targets put to since the last quiet, so an
+  /// image's tracker costs what it touches, not nranks() bytes.
   /// Pipeline counters live in the obs registry under "rma.*" keyed by this
   /// rank; the registry zeroes values in place on reset, so the cached
   /// handles stay valid across back-to-back runs on one stack.
   struct Tracker {
-    std::vector<std::uint8_t> dirty;  ///< dirty[target] != 0 → puts in flight
-    std::vector<int> dirty_list;      ///< targets with the flag set
+    std::unordered_set<int> dirty;  ///< targets with puts in flight
     std::uint64_t* tracked_puts = nullptr;
     std::uint64_t* scatter_msgs = nullptr;
     std::uint64_t* quiet_calls = nullptr;
@@ -268,8 +288,7 @@ class Conduit {
   Tracker& tracker() {
     if (trk_.empty()) trk_.resize(static_cast<std::size_t>(nranks()));
     Tracker& t = trk_[static_cast<std::size_t>(rank())];
-    if (t.dirty.empty()) {
-      t.dirty.assign(static_cast<std::size_t>(nranks()), 0);
+    if (t.tracked_puts == nullptr) {
       auto& reg = obs::registry();
       const int r = rank();
       t.tracked_puts = &reg.counter(r, "rma.tracked_puts");
@@ -283,10 +302,7 @@ class Conduit {
   Tracker& note_put(int target) {
     Tracker& t = tracker();
     ++*t.tracked_puts;
-    if (!t.dirty[static_cast<std::size_t>(target)]) {
-      t.dirty[static_cast<std::size_t>(target)] = 1;
-      t.dirty_list.push_back(target);
-    }
+    t.dirty.insert(target);
     return t;
   }
 

@@ -65,6 +65,9 @@ class GasnetConduit final : public Conduit {
   gasnet::World& world() { return world_; }
 
  protected:
+  const shmem::CollectiveAllocLog& alloc_log() const override {
+    return heap_;
+  }
   void do_put(int rank, std::uint64_t dst_off, const void* src, std::size_t n,
               bool nbi) override {
     if (nbi) {

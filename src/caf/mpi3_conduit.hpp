@@ -71,6 +71,9 @@ class Mpi3Conduit final : public Conduit {
   mpi3::Window& window() { return win_; }
 
  protected:
+  const shmem::CollectiveAllocLog& alloc_log() const override {
+    return win_.heap_log();
+  }
   void do_put(int rank, std::uint64_t dst_off, const void* src, std::size_t n,
               bool /*nbi*/) override {
     // MPI_Put is always "nbi" (origin completion at flush); the simulated

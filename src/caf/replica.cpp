@@ -123,8 +123,8 @@ ShardStore::ShardStore(Runtime& rt, Options opts)
   data_off_ = rt_.allocate_coarray_bytes(ns * shard_bytes());
   seq_off_ = rt_.allocate_coarray_bytes(ns * sizeof(std::int64_t));
   synced_off_ = rt_.allocate_coarray_bytes(ns * sizeof(std::int64_t));
-  std::memset(rt_.local_addr(data_off_), 0, ns * shard_bytes());
-  std::memset(rt_.local_addr(seq_off_), 0, ns * sizeof(std::int64_t));
+  rt_.conduit().clear(data_off_, ns * shard_bytes());
+  rt_.conduit().clear(seq_off_, ns * sizeof(std::int64_t));
   // Initial owners hold a trivially complete copy (everything is zero);
   // everyone else starts unsynced and earns the flag through anti-entropy.
   sim::Engine& eng = rt_.conduit().engine();

@@ -105,10 +105,9 @@ void RpcEngine::init_symmetric() {
   ack_off_ = conduit_.allocate(static_cast<std::size_t>(n) * 8);
 
   const int me = self();
-  std::byte* seg = conduit_.segment(me);
-  std::memset(seg + mbox_off_, 0, ring_bytes);
-  std::memset(seg + bell_off_, 0, sizeof(std::int64_t));
-  std::memset(seg + ack_off_, 0, static_cast<std::size_t>(n) * 8);
+  conduit_.clear(mbox_off_, ring_bytes);
+  conduit_.clear(bell_off_, sizeof(std::int64_t));
+  conduit_.clear(ack_off_, static_cast<std::size_t>(n) * 8);
 
   PerPe& st = per_[static_cast<std::size_t>(me)];
   st.sent.assign(static_cast<std::size_t>(n), 0);

@@ -90,7 +90,7 @@ void Runtime::init() {
   sync_ctrs_off_ = sync;
   critical_off_ = crit;
   syncall_ctrs_off_ = syncall;
-  std::memset(local_addr(crit), 0, lock_cell_bytes());
+  conduit_.clear(crit, lock_cell_bytes());
   if (resilient_) {
     team_ctrs_off_ = conduit_.allocate(
         static_cast<std::size_t>(num_images()) * sizeof(std::int64_t));
@@ -102,10 +102,10 @@ void Runtime::init() {
         conduit_.allocate(static_cast<std::size_t>(num_images()) * kTeamChunk);
     tree_marks_off_ = conduit_.allocate(static_cast<std::size_t>(num_images()) *
                                         sizeof(std::int64_t));
-    std::memset(local_addr(team_ctrs_off_), 0,
-                static_cast<std::size_t>(num_images()) * sizeof(std::int64_t));
-    std::memset(local_addr(tree_marks_off_), 0,
-                static_cast<std::size_t>(num_images()) * sizeof(std::int64_t));
+    conduit_.clear(team_ctrs_off_, static_cast<std::size_t>(num_images()) *
+                                       sizeof(std::int64_t));
+    conduit_.clear(tree_marks_off_, static_cast<std::size_t>(num_images()) *
+                                        sizeof(std::int64_t));
   }
   // Topology-aware collectives engine, the only full-machine collective
   // path: its symmetric staging areas are allocated here, in the same
@@ -654,7 +654,7 @@ std::size_t Runtime::lock_cell_bytes() const {
 
 CoLock Runtime::make_lock() {
   const std::uint64_t off = allocate_coarray_bytes(lock_cell_bytes());
-  std::memset(local_addr(off), 0, lock_cell_bytes());
+  conduit_.clear(off, lock_cell_bytes());
   conduit_.barrier();  // all images see an unlocked tail
   return CoLock{off};
 }
@@ -1411,7 +1411,7 @@ void Runtime::end_critical() { unlock(CoLock{critical_off_}, 1); }
 
 CoEvent Runtime::make_event() {
   const std::uint64_t off = allocate_coarray_bytes(sizeof(std::int64_t));
-  std::memset(local_addr(off), 0, sizeof(std::int64_t));
+  conduit_.clear(off, sizeof(std::int64_t));
   conduit_.barrier();
   return CoEvent{off};
 }

@@ -84,6 +84,9 @@ class ShmemConduit final : public Conduit {
   shmem::World& world() { return world_; }
 
  protected:
+  const shmem::CollectiveAllocLog& alloc_log() const override {
+    return world_.heap_log();
+  }
   void do_put(int rank, std::uint64_t dst_off, const void* src, std::size_t n,
               bool nbi) override {
     if (intra_node_direct_ && direct_store(rank, dst_off, src, n)) return;

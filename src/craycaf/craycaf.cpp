@@ -56,6 +56,10 @@ std::uint64_t Runtime::allocate(std::size_t bytes) {
   return off;
 }
 
+void Runtime::clear(std::uint64_t off, std::size_t n) {
+  heap_.clear(ctx_->domain().segment(me()), off, n);
+}
+
 void Runtime::deallocate(std::uint64_t off) {
   heap_.release(me(), off, "craycaf deallocate");
   sync_all();
@@ -158,7 +162,7 @@ CoLock Runtime::make_lock() {
   const std::size_t words =
       resilient_ ? 2 + static_cast<std::size_t>(ctx_->npes()) + 1 : 2;
   const std::uint64_t off = allocate(words * sizeof(std::int64_t));
-  std::memset(local_addr(off), 0, words * sizeof(std::int64_t));
+  clear(off, words * sizeof(std::int64_t));
   sync_all();
   return CoLock{off};
 }

@@ -61,6 +61,10 @@ class Runtime {
   std::uint64_t allocate(std::size_t bytes);
   void deallocate(std::uint64_t off);
   std::byte* local_addr(std::uint64_t off);
+  /// Zeroes [off, off+n) of this image's segment inside one live
+  /// allocation, writing only bytes an earlier allocation handed out
+  /// (shmem::CollectiveAllocLog::clear).
+  void clear(std::uint64_t off, std::size_t n);
 
   // ---- co-indexed RMA (runtime inserts gsync for CAF ordering) ----
   void put_bytes(int image, std::uint64_t dst_off, const void* src,

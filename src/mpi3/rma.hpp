@@ -36,6 +36,8 @@ class Window {
   sim::Engine& engine() { return engine_; }
   fabric::Domain& domain() { return *domain_; }
   std::byte* base(int rank) { return domain_->segment(rank); }
+  /// The allocate_collective/free_collective replay log.
+  const shmem::CollectiveAllocLog& heap_log() const { return *heap_; }
 
   /// MPI_Put: origin buffer reusable on return; remote completion requires
   /// flush. (MPI says reuse needs flush too; the simulated payload capture

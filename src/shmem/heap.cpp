@@ -1,5 +1,6 @@
 #include "shmem/heap.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -7,7 +8,10 @@ namespace shmem {
 
 FreeListAllocator::FreeListAllocator(std::uint64_t base, std::uint64_t capacity,
                                      std::uint64_t alignment)
-    : base_(base), capacity_(capacity), alignment_(alignment) {
+    : base_(base),
+      capacity_(capacity),
+      alignment_(alignment),
+      high_water_(base) {
   assert((alignment & (alignment - 1)) == 0 && "alignment must be power of 2");
   assert(align_up(base) == base && "base must be aligned");
   if (capacity > 0) holes_[base] = capacity;
@@ -21,7 +25,8 @@ std::optional<std::uint64_t> FreeListAllocator::allocate(std::uint64_t bytes) {
       const std::uint64_t remaining = it->second - need;
       holes_.erase(it);
       if (remaining > 0) holes_[off + need] = remaining;
-      sizes_[off] = need;
+      blocks_[off] = Block{need, std::clamp(high_water_, off, off + need)};
+      high_water_ = std::max(high_water_, off + need);
       in_use_ += need;
       return off;
     }
@@ -30,13 +35,13 @@ std::optional<std::uint64_t> FreeListAllocator::allocate(std::uint64_t bytes) {
 }
 
 void FreeListAllocator::release(std::uint64_t offset) {
-  auto it = sizes_.find(offset);
-  if (it == sizes_.end()) {
+  auto it = blocks_.find(offset);
+  if (it == blocks_.end()) {
     throw std::invalid_argument("FreeListAllocator::release: unknown block");
   }
   std::uint64_t off = offset;
-  std::uint64_t size = it->second;
-  sizes_.erase(it);
+  std::uint64_t size = it->second.size;
+  blocks_.erase(it);
   in_use_ -= size;
   // Coalesce with the following hole.
   auto next = holes_.lower_bound(off);
@@ -53,6 +58,16 @@ void FreeListAllocator::release(std::uint64_t offset) {
     }
   }
   holes_[off] = size;
+}
+
+FreeListAllocator::Span FreeListAllocator::fresh_span(
+    std::uint64_t offset) const {
+  auto it = blocks_.upper_bound(offset);
+  if (it == blocks_.begin()) return {};
+  --it;
+  const std::uint64_t end = it->first + it->second.size;
+  if (offset >= end) return {};
+  return {it->second.fresh, end};
 }
 
 bool FreeListAllocator::check_invariants() const {
@@ -96,6 +111,16 @@ std::uint64_t CollectiveAllocLog::allocate(int rank, std::uint64_t bytes,
                              allocator_.capacity());
   }
   return op.result;
+}
+
+void CollectiveAllocLog::clear(std::byte* segment, std::uint64_t offset,
+                               std::size_t n) const {
+  const FreeListAllocator::Span fresh = allocator_.fresh_span(offset);
+  const std::uint64_t end = offset + n;
+  // Within one block, only [offset, fresh.begin) can hold old data.
+  const std::uint64_t stop =
+      end <= fresh.end ? std::min(end, std::max(offset, fresh.begin)) : end;
+  if (stop > offset) std::memset(segment + offset, 0, stop - offset);
 }
 
 void CollectiveAllocLog::release(int rank, std::uint64_t offset,

@@ -13,10 +13,17 @@
 //
 // Offset-based (not pointer-based) so a single instance can describe
 // allocations that exist at the same offset in many PEs' segments.
+//
+// The allocator also keeps a high-water mark: every block remembers the
+// first of its bytes that no earlier allocation handed out. Segments are
+// calloc'd, so those bytes are still zero, and CollectiveAllocLog::clear()
+// zeroes a fresh allocation by writing only the bytes it reuses. A large
+// fresh allocation then costs no page faults until it is used.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <new>
 #include <optional>
@@ -71,7 +78,16 @@ class FreeListAllocator {
 
   std::uint64_t bytes_in_use() const { return in_use_; }
   std::uint64_t capacity() const { return capacity_; }
-  std::size_t live_blocks() const { return sizes_.size(); }
+  std::size_t live_blocks() const { return blocks_.size(); }
+
+  /// The tail of the live block holding `offset` that no earlier
+  /// allocation handed out: [begin, block end), empty when the block reuses
+  /// all of its bytes. {0, 0} when `offset` lies in no live block.
+  struct Span {
+    std::uint64_t begin = 0;
+    std::uint64_t end = 0;
+  };
+  Span fresh_span(std::uint64_t offset) const;
 
   /// Invariant check used by property tests: free holes are disjoint,
   /// sorted, coalesced, and free+used == capacity.
@@ -82,12 +98,18 @@ class FreeListAllocator {
     return (v + alignment_ - 1) & ~(alignment_ - 1);
   }
 
+  struct Block {
+    std::uint64_t size;
+    std::uint64_t fresh;  ///< first byte no earlier allocation handed out
+  };
+
   std::uint64_t base_;
   std::uint64_t capacity_;
   std::uint64_t alignment_;
   std::map<std::uint64_t, std::uint64_t> holes_;  // offset -> size
-  std::map<std::uint64_t, std::uint64_t> sizes_;  // live offset -> size
+  std::map<std::uint64_t, Block> blocks_;         // live offset -> block
   std::uint64_t in_use_ = 0;
+  std::uint64_t high_water_;  ///< end of the highest byte ever handed out
 };
 
 /// Replay log for one library's collective symmetric allocations. Ranks are
@@ -110,6 +132,13 @@ class CollectiveAllocLog {
   /// `rank`'s next collective free of `offset`. Throws std::logic_error
   /// when the logged op is an allocation or frees another offset.
   void release(int rank, std::uint64_t offset, const char* what);
+
+  /// Zeroes [offset, offset+n) of one rank's segment (`segment` is its
+  /// base; offsets are segment offsets), where n bytes lie in one live
+  /// allocation. Bytes the heap hands out for the first time are already
+  /// zero and are not written, so only reused bytes are; a range outside
+  /// any live allocation is zeroed in full.
+  void clear(std::byte* segment, std::uint64_t offset, std::size_t n) const;
 
  private:
   struct Op {

@@ -214,6 +214,8 @@ class World {
   // ---- introspection for tests/benches ----
   std::uint64_t offset_of(const void* sym) const;
   std::size_t heap_user_bytes() const;
+  /// The shmalloc/shfree replay log (its clear() zeroes reused bytes only).
+  const CollectiveAllocLog& heap_log() const { return *heap_; }
 
  private:
   struct CollectiveState;  // per-PE internal offsets & generation counters

@@ -58,7 +58,6 @@ void StackPool::release(const Stack& s) {
   // poison before the frame region is handed to an unrelated fiber.
   __asan_unpoison_memory_region(s.base, s.bytes);
 #endif
-  madvise(s.base, s.bytes, MADV_DONTNEED);
   free_[s.bytes].push_back(s.base);
 }
 

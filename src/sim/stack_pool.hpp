@@ -7,9 +7,13 @@
 // switch-in and returns it when the fiber finishes or is killed.
 //
 // Stacks are mmap'd (page-granular, never zeroed twice) and recycled
-// through size-keyed free lists. A released stack is madvise(MADV_DONTNEED)d
-// so a parked pool holds address space, not resident pages. The pool keeps
-// peak-in-use accounting so `engine.stack_bytes_peak` can be exported as an
+// through size-keyed free lists. A released stack keeps its resident pages:
+// a fiber that ran touched only the top page or two of its stack, and
+// dropping them with madvise(MADV_DONTNEED) would cost one syscall per
+// finished fiber (16,384 at the end of a 16k-image run) to free memory that
+// the pool's destructor unmaps moments later, or that the next fiber to
+// reuse the stack faults straight back in. The pool keeps peak-in-use
+// accounting so `engine.stack_bytes_peak` can be exported as an
 // observability counter.
 #pragma once
 
@@ -37,7 +41,7 @@ class StackPool {
   /// reusing a pooled one of the same rounded size when available.
   Stack acquire(std::size_t bytes);
 
-  /// Returns a stack to the pool and drops its resident pages.
+  /// Returns a stack to the pool (its resident pages stay mapped).
   void release(const Stack& s);
 
   std::uint64_t mapped_bytes() const { return mapped_bytes_; }

@@ -4,6 +4,7 @@
 // associative) combiner, which exposes any arm that merges out of order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -120,6 +121,26 @@ TEST_P(CollConformance, BroadcastArmsMatchReference) {
         rt.sync_all();
       });
     }
+  }
+}
+
+// Every flag, counter and ack word of the engine is carved into one control
+// block ahead of the slot and bank arrays: an image's control state sits in
+// one 4 KiB span (one or two pages), not one page behind each slot array.
+TEST_P(CollConformance, ControlBlockFitsOneFourKiBSpan) {
+  for (const int images : {5, 33, 300}) {
+    Harness h(GetParam(), images);
+    h.run([&] {
+      auto& rt = h.rt();
+      const auto b = rt.coll_engine()->control_block();
+      EXPECT_GT(b.bytes, 0u);
+      EXPECT_LE(b.bytes, 4096u) << "images=" << images;
+      // init() zeroed this image's whole block.
+      const std::byte* p = rt.conduit().segment(rt.this_image() - 1) + b.off;
+      EXPECT_TRUE(std::all_of(p, p + b.bytes,
+                              [](std::byte x) { return x == std::byte{0}; }));
+      rt.sync_all();
+    });
   }
 }
 

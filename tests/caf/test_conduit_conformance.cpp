@@ -11,6 +11,7 @@
 #include <cstring>
 #include <numeric>
 #include <tuple>
+#include <vector>
 
 #include "caf_test_util.hpp"
 #include "obs/obs.hpp"
@@ -359,4 +360,61 @@ TEST_P(ConduitConformance, QuietIsElidedWhenNoOpsAreInFlight) {
     }
     c.barrier();
   });
+}
+
+// The tracker at scale: 4096 images, image 0 puts to every target, then to
+// a sparse subset. pending() must be exact for every target, one quiet()
+// must clear all of them, and the next quiet() is elided. The tracker lives
+// in the Conduit base, so one conduit covers all of them.
+TEST(ConduitTracker, PendingIsExactForDenseAndSparseTargetsAt4096Images) {
+  constexpr int kImages = 4096;
+  Harness h(Stack::kShmemCray, kImages, {}, 256 * 1024);
+  h.run(
+      [&] {
+        Conduit& c = conduit(h);
+        const std::uint64_t off = c.allocate(64);
+        if (c.rank() == 0) {
+          auto& reg = obs::registry();
+          auto check_pending = [&](const std::vector<bool>& want) {
+            int wrong = 0;
+            for (int t = 0; t < kImages; ++t) {
+              if (c.pending(t) != want[static_cast<std::size_t>(t)]) ++wrong;
+            }
+            EXPECT_EQ(wrong, 0);
+          };
+          auto quiet_twice = [&] {
+            const std::uint64_t elided0 = reg.value(0, "rma.quiet_elided");
+            const std::uint64_t calls0 = reg.value(0, "rma.quiet_calls");
+            c.quiet();  // real fence
+            EXPECT_EQ(reg.value(0, "rma.quiet_elided"), elided0);
+            EXPECT_FALSE(c.pending_any());
+            // The dirty set's table is freed, not kept at its peak size.
+            EXPECT_LE(c.tracker_buckets(), Conduit::kTrackerKeptBuckets);
+            check_pending(std::vector<bool>(kImages, false));
+            c.quiet();  // nothing in flight: elided
+            EXPECT_EQ(reg.value(0, "rma.quiet_elided"), elided0 + 1);
+            EXPECT_EQ(reg.value(0, "rma.quiet_calls"), calls0 + 2);
+          };
+
+          const std::int64_t v = 7;
+          for (int t = 0; t < kImages; ++t) {
+            c.put(t, off, &v, sizeof v, /*nbi=*/true);
+          }
+          EXPECT_TRUE(c.pending_any());
+          EXPECT_GE(c.tracker_buckets(), static_cast<std::size_t>(kImages));
+          check_pending(std::vector<bool>(kImages, true));
+          quiet_twice();
+
+          std::vector<bool> want(kImages, false);
+          for (int t : {1, 3, 17, 64, 1000, 2048, 4095}) {
+            c.put(t, off, &v, sizeof v, /*nbi=*/true);
+            c.put(t, off, &v, sizeof v, /*nbi=*/true);  // dirty once
+            want[static_cast<std::size_t>(t)] = true;
+          }
+          check_pending(want);
+          quiet_twice();
+        }
+        c.barrier();
+      },
+      /*auto_init=*/false);
 }

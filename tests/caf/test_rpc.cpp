@@ -124,6 +124,40 @@ TEST_P(RpcStacks, FireAndForgetAccumulates) {
   }
 }
 
+// At 1024 images with only a few talkers, the mailbox rings and per-peer
+// sequence numbers stay exact: rings of two slots make the ten round trips
+// wrap the ring, so every request goes through backpressure.
+TEST(RpcScale, FewTalkersAt1024ImagesKeepExactSequences) {
+  constexpr int kImages = 1024;
+  caf::Options o = rpc_opts();
+  o.rpc.slots_per_pair = 2;
+  o.rpc.slot_bytes = 128;
+  Harness h(Stack::kShmemCray, kImages, o);
+  h.run([&] {
+    auto& rt = h.rt();
+    const int me = rt.this_image();
+    if (me == 1 || me == 2) {
+      // Images 1 and 2 both call image 1024; image 1 also calls itself.
+      for (int i = 0; i < 10; ++i) {
+        auto fut = rpc(
+            rt, kImages,
+            [](std::int64_t a, std::int64_t b) -> std::int64_t {
+              return a * 1000 + b;
+            },
+            static_cast<std::int64_t>(me), static_cast<std::int64_t>(i));
+        EXPECT_EQ(fut.get(), me * 1000 + i);
+      }
+      if (me == 1) {
+        auto self = rpc(
+            rt, 1, [](std::int64_t x) -> std::int64_t { return x + 1; },
+            std::int64_t{41});
+        EXPECT_EQ(self.get(), 42);
+      }
+    }
+    rt.sync_all();
+  });
+}
+
 TEST_P(RpcStacks, ChainedThenRunsOnOwner) {
   Harness h(GetParam(), 6, rpc_opts());
   h.run([&] {

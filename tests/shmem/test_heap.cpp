@@ -170,3 +170,60 @@ TEST(AllocLog, MismatchedCallsThrowLogicError) {
   (void)log.allocate(0, 32, "test");
   EXPECT_THROW(log.release(1, a, "test"), std::logic_error);
 }
+
+// The clear helper behind every init-time zeroing: fresh heap bytes are
+// still zero in a calloc'd segment and must not be written (writing them
+// faults their pages in), while bytes an earlier allocation handed out may
+// hold old data and must be zeroed. The segment here is filled with a
+// sentinel so a write to a fresh byte shows.
+TEST(AllocLog, ClearZeroesReusedBytesAndNeverWritesFreshOnes) {
+  constexpr std::uint64_t kBase = 256;
+  constexpr std::uint64_t kCap = 4096;
+  constexpr std::byte kFresh{0xAB};
+  constexpr std::byte kOld{0xCD};
+  std::vector<std::byte> seg(kBase + kCap, kFresh);
+  CollectiveAllocLog log(1, kBase, kCap);
+  auto all_are = [&](std::uint64_t off, std::uint64_t n, std::byte v) {
+    return std::all_of(seg.begin() + static_cast<std::ptrdiff_t>(off),
+                       seg.begin() + static_cast<std::ptrdiff_t>(off + n),
+                       [v](std::byte b) { return b == v; });
+  };
+
+  // Fresh allocation: nothing is written.
+  const std::uint64_t a = log.allocate(0, 512, "test");
+  log.clear(seg.data(), a, 512);
+  EXPECT_TRUE(all_are(a, 512, kFresh));
+
+  // Write, free, re-allocate the same bytes: all of them are zeroed.
+  std::fill_n(seg.begin() + static_cast<std::ptrdiff_t>(a), 512, kOld);
+  log.release(0, a, "test");
+  const std::uint64_t b = log.allocate(0, 512, "test");
+  ASSERT_EQ(b, a);
+  log.clear(seg.data(), b, 512);
+  EXPECT_TRUE(all_are(b, 512, std::byte{0}));
+
+  // A larger block over the freed bytes and fresh heap: the reused prefix
+  // is zeroed, the fresh tail keeps the sentinel.
+  std::fill_n(seg.begin() + static_cast<std::ptrdiff_t>(b), 512, kOld);
+  log.release(0, b, "test");
+  const std::uint64_t c = log.allocate(0, 1024, "test");
+  ASSERT_EQ(c, a);
+  log.clear(seg.data(), c, 1024);
+  EXPECT_TRUE(all_are(c, 512, std::byte{0}));
+  EXPECT_TRUE(all_are(c + 512, 512, kFresh));
+
+  // A sub-range that starts inside the fresh tail writes nothing; one that
+  // straddles the boundary zeroes only its reused part.
+  std::fill_n(seg.begin() + static_cast<std::ptrdiff_t>(c), 512, kOld);
+  log.clear(seg.data(), c + 600, 100);
+  EXPECT_TRUE(all_are(c + 512, 512, kFresh));
+  log.clear(seg.data(), c + 256, 512);
+  EXPECT_TRUE(all_are(c, 256, kOld));
+  EXPECT_TRUE(all_are(c + 256, 256, std::byte{0}));
+  EXPECT_TRUE(all_are(c + 512, 512, kFresh));
+
+  // Outside any live block (the library's internal area below the heap, or
+  // freed memory) nothing is known to be zero: the range is zeroed in full.
+  log.clear(seg.data(), 0, 64);
+  EXPECT_TRUE(all_are(0, 64, std::byte{0}));
+}
