@@ -103,7 +103,7 @@ PutResult run_put_test(RawLib lib, net::Machine machine, std::size_t bytes,
       gasnet::World world(engine, fabric, sw, seg);
       std::vector<sim::Time> lat(kWorldPes, 0);
       std::vector<sim::Time> bw_begin(kWorldPes, 0), bw_end(kWorldPes, 0);
-      const std::uint64_t off = gasnet::World::reserved_bytes();
+      const std::uint64_t off = fabric::kBarrierBytes;
       world.launch([&] {
         const int me = world.mynode();
         world.barrier();
@@ -135,7 +135,7 @@ PutResult run_put_test(RawLib lib, net::Machine machine, std::size_t bytes,
       mpi3::Window win(engine, fabric, sw, seg);
       std::vector<sim::Time> lat(kWorldPes, 0);
       std::vector<sim::Time> bw_begin(kWorldPes, 0), bw_end(kWorldPes, 0);
-      const std::uint64_t off = mpi3::Window::reserved_bytes();
+      const std::uint64_t off = fabric::kBarrierBytes;
       win.launch([&] {
         const int me = win.rank();
         win.barrier();
@@ -209,7 +209,7 @@ PutResult run_get_test(RawLib lib, net::Machine machine, std::size_t bytes,
     }
     case RawLib::kGasnet: {
       gasnet::World world(engine, fabric, sw, seg);
-      const std::uint64_t off = gasnet::World::reserved_bytes();
+      const std::uint64_t off = fabric::kBarrierBytes;
       world.launch([&] {
         const int me = world.mynode();
         world.barrier();
@@ -229,7 +229,7 @@ PutResult run_get_test(RawLib lib, net::Machine machine, std::size_t bytes,
     }
     case RawLib::kMpi3: {
       mpi3::Window win(engine, fabric, sw, seg);
-      const std::uint64_t off = mpi3::Window::reserved_bytes();
+      const std::uint64_t off = fabric::kBarrierBytes;
       win.launch([&] {
         const int me = win.rank();
         win.barrier();

@@ -8,15 +8,11 @@ namespace armci {
 World::World(sim::Engine& engine, net::Fabric& fabric, net::SwProfile sw,
              std::size_t seg_bytes)
     : engine_(engine) {
-  if (seg_bytes <= reserved_bytes()) {
-    throw std::invalid_argument("armci::World: segment too small");
-  }
   domain_ = std::make_unique<fabric::Domain>(engine, fabric, std::move(sw),
                                              seg_bytes);
-  const std::uint64_t base = (reserved_bytes() + 15) & ~std::uint64_t{15};
-  heap_ = std::make_unique<shmem::CollectiveAllocLog>(domain_->npes(), base,
-                                                      seg_bytes - base);
-  barrier_gen_.assign(domain_->npes(), 0);
+  heap_ = std::make_unique<shmem::CollectiveAllocLog>(
+      domain_->npes(), fabric::kBarrierBytes,
+      seg_bytes - fabric::kBarrierBytes);
   mutex_created_.assign(domain_->npes(), 0);
 }
 
@@ -176,20 +172,9 @@ void World::unlock(int mutex, int proc) {
 }
 
 void World::barrier() {
-  const int r = me();
-  const int n = nproc();
-  if (n == 1) return;
+  if (nproc() == 1) return;
   domain_->quiet();
-  const std::int64_t gen = ++barrier_gen_[r];
-  int round = 0;
-  for (int dist = 1; dist < n; dist <<= 1, ++round) {
-    assert(round < kMaxRounds);
-    const int peer = (r + dist) % n;
-    const std::uint64_t off =
-        barrier_flags_off_ + static_cast<std::uint64_t>(round) * sizeof(std::int64_t);
-    domain_->put(peer, off, &gen, sizeof gen, /*pipelined=*/true);
-    wait_local_ge(off, gen);
-  }
+  domain_->barrier(/*pipelined=*/true, "armci_wait_until");
 }
 
 }  // namespace armci

@@ -112,25 +112,13 @@ class World {
   }
 
  private:
-  void wait_local_ge(std::uint64_t off, std::int64_t value) {
-    wait_until_local(off, fabric::Cmp::kGe, value);
-  }
-
   sim::Engine& engine_;
   std::unique_ptr<fabric::Domain> domain_;
   /// Collective allocation replay (ARMCI_Malloc is collective).
   std::unique_ptr<shmem::CollectiveAllocLog> heap_;
-  std::vector<std::int64_t> barrier_gen_;
-  std::uint64_t barrier_flags_off_ = 0;
   std::uint64_t mutex_off_ = 0;  // packed ticket words, one per mutex
   int mutexes_ = 0;
   std::vector<char> mutex_created_;  // per-process: collective-call guard
-  static constexpr int kMaxRounds = 16;
-
- public:
-  static constexpr std::size_t reserved_bytes() {
-    return kMaxRounds * sizeof(std::int64_t);
-  }
 };
 
 }  // namespace armci

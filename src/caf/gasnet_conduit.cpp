@@ -4,17 +4,12 @@
 
 namespace caf {
 
-namespace {
-// User allocations start past the conduit's own barrier flags, aligned.
-constexpr std::uint64_t user_base() {
-  return (gasnet::World::reserved_bytes() + 15) & ~std::uint64_t{15};
-}
-}  // namespace
-
 GasnetConduit::GasnetConduit(gasnet::World& world)
     : world_(world),
       seg_bytes_(world.seg_bytes()),
-      heap_(world.nodes(), user_base(), world.seg_bytes() - user_base()) {
+      // User allocations start past the barrier flags.
+      heap_(world.nodes(), fabric::kBarrierBytes,
+            world.seg_bytes() - fabric::kBarrierBytes) {
   // The AMO-emulation handler: runs on the target CPU, performs the RMW on
   // the target's segment at the handler's virtual time, replies with the
   // fetched value. poke() wakes the waiters spinning on the word.

@@ -12,21 +12,19 @@ Runtime::Runtime(sim::Engine& engine, net::Fabric& fabric,
   ctx_ = std::make_unique<fabric::dmapp::Context>(
       engine, fabric, heap_bytes,
       net::sw_profile(net::Library::kCrayCaf, machine));
-  // Internal symmetric prefix: barrier flags, collective flags + slots.
-  std::uint64_t off = 0;
-  barrier_flags_off_ = off;
-  off += kMaxRounds * sizeof(std::int64_t);
+  // Internal symmetric prefix after the Domain's barrier flags: collective
+  // flags + slots, one per tree level and one for the broadcast.
+  std::uint64_t off = fabric::kBarrierBytes;
   coll_flags_off_ = off;
-  off += (kMaxRounds + 1) * sizeof(std::int64_t);
+  off += (fabric::kMaxRounds + 1) * sizeof(std::int64_t);
   coll_slots_off_ = off;
-  off += (kMaxRounds + 1) * kSlotBytes;
+  off += (fabric::kMaxRounds + 1) * kSlotBytes;
   internal_bytes_ = (off + 15) & ~std::uint64_t{15};
   if (heap_bytes <= internal_bytes_) {
     throw std::invalid_argument("craycaf::Runtime: heap too small");
   }
   heap_ = shmem::CollectiveAllocLog(ctx_->npes(), internal_bytes_,
                                     heap_bytes - internal_bytes_);
-  barrier_gen_.assign(ctx_->npes(), 0);
   coll_gen_.assign(ctx_->npes(), 0);
   held_tickets_.resize(static_cast<std::size_t>(ctx_->npes()));
 }
@@ -107,19 +105,7 @@ void Runtime::put_strided_1d(int image, std::uint64_t dst_off,
 
 void Runtime::sync_all() {
   ctx_->gsync_wait();
-  const int r = me();
-  const int n = ctx_->npes();
-  if (n == 1) return;
-  const std::int64_t gen = ++barrier_gen_[r];
-  int round = 0;
-  for (int dist = 1; dist < n; dist <<= 1, ++round) {
-    assert(round < kMaxRounds);
-    const int peer = (r + dist) % n;
-    const std::uint64_t off =
-        barrier_flags_off_ + static_cast<std::uint64_t>(round) * sizeof(std::int64_t);
-    ctx_->put_nbi(peer, off, &gen, sizeof gen);
-    wait_local_ge(off, gen);
-  }
+  ctx_->domain().barrier(/*pipelined=*/true, "craycaf_wait");
 }
 
 int Runtime::image_status(int image) {
@@ -326,7 +312,7 @@ void Runtime::co_sum_f64(double* data, std::size_t nelems) {
   const std::int64_t gen = ++coll_gen_[r];
   int level = 0;
   for (int mask = 1; mask < n; mask <<= 1, ++level) {
-    assert(level < kMaxRounds);
+    assert(level < fabric::kMaxRounds);
     const std::uint64_t slot =
         coll_slots_off_ + static_cast<std::uint64_t>(level) * kSlotBytes;
     const std::uint64_t flag =
@@ -346,10 +332,10 @@ void Runtime::co_sum_f64(double* data, std::size_t nelems) {
     }
   }
   // Broadcast the result down a binomial tree.
-  const std::uint64_t bslot =
-      coll_slots_off_ + static_cast<std::uint64_t>(kMaxRounds) * kSlotBytes;
+  constexpr auto kBcastLevel = static_cast<std::uint64_t>(fabric::kMaxRounds);
+  const std::uint64_t bslot = coll_slots_off_ + kBcastLevel * kSlotBytes;
   const std::uint64_t bflag =
-      coll_flags_off_ + static_cast<std::uint64_t>(kMaxRounds) * sizeof(std::int64_t);
+      coll_flags_off_ + kBcastLevel * sizeof(std::int64_t);
   std::memcpy(local_addr(bslot), data, nbytes);
   int mask = 1;
   if (r != 0) {

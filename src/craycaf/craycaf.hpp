@@ -123,7 +123,6 @@ class Runtime {
   sim::Engine& engine_;
   std::unique_ptr<fabric::dmapp::Context> ctx_;
   shmem::CollectiveAllocLog heap_;  ///< allocate/deallocate replay
-  std::vector<std::int64_t> barrier_gen_;
   std::vector<std::int64_t> coll_gen_;
   /// Kills armed for this run (checked at launch): locks carry the owner
   /// ring and the acquire path reclaims past dead owners. Off by default so
@@ -134,9 +133,7 @@ class Runtime {
   std::vector<std::unordered_map<std::uint64_t, std::int64_t>> held_tickets_;
 
   // Internal layout at the base of every segment.
-  static constexpr int kMaxRounds = 16;
   static constexpr std::size_t kSlotBytes = 8192;
-  std::uint64_t barrier_flags_off_ = 0;
   std::uint64_t coll_flags_off_ = 0;
   std::uint64_t coll_slots_off_ = 0;
   std::uint64_t internal_bytes_ = 0;

@@ -46,12 +46,27 @@ Domain::Domain(sim::Engine& engine, net::Fabric& fabric, net::SwProfile sw,
       fabric_(fabric),
       sw_(std::move(sw)),
       segment_bytes_(segment_bytes) {
+  // Round r of a barrier over n PEs exists for 2^r < n, and its flag is the
+  // int64 8r bytes into the segment: a larger world, or a segment no larger
+  // than the flags, would put a round's flag on the libraries' own state.
+  if (fabric_.npes() > (1 << kMaxRounds)) {
+    throw std::invalid_argument(
+        "fabric::Domain: " + std::to_string(fabric_.npes()) +
+        " PEs exceed the barrier's maximum of " +
+        std::to_string(1 << kMaxRounds));
+  }
+  if (segment_bytes_ <= kBarrierBytes) {
+    throw std::invalid_argument(
+        "fabric::Domain: a segment must exceed the " +
+        std::to_string(kBarrierBytes) + " bytes of barrier flags");
+  }
   segments_.reserve(fabric_.npes());
   for (int i = 0; i < fabric_.npes(); ++i) {
     segments_.emplace_back(segment_bytes_);
   }
   outstanding_.assign(fabric_.npes(), 0);
   watchers_.resize(fabric_.npes());
+  barrier_.resize(fabric_.npes());
 }
 
 std::byte* Domain::segment(int pe) {
@@ -332,6 +347,53 @@ void Domain::wait_until(std::uint64_t off, Cmp cmp, std::int64_t value,
         return w.d->poll_or_watch(w.off, w.cmp, w.value, w.block_op);
       },
       &w);
+}
+
+void Domain::barrier(const ActiveSet& peers, std::uint64_t flag_off,
+                     std::int64_t gen, bool pipelined, const char* block_op) {
+  const int me = current_pe();
+  BarrierStep& b = barrier_[me];
+  b.domain = this;
+  b.peers = peers;
+  b.rank = peers.rel_of(me);
+  assert(b.rank >= 0 && "barrier: calling PE is not in the set");
+  b.dist = 1;
+  b.flag = flag_off;
+  b.gen = gen;
+  b.block_op = block_op;
+  b.pipelined = pipelined;
+  b.phase = BarrierStep::Phase::kIssue;
+  engine_.run_parked(&BarrierStep::step, &b);
+}
+
+// A round is the put, local-completion wait and flag wait that put() and
+// wait_until() make, in the same order, so every event keeps its
+// (time, seq).
+bool Domain::BarrierStep::run() {
+  for (;;) {
+    switch (phase) {
+      case Phase::kIssue:
+        if (dist >= peers.pe_size) return true;
+        put = domain->put_issue(peer(), flag, &gen, sizeof gen, pipelined);
+        phase = Phase::kLocalComplete;
+        if (domain->engine_.park_until(put.local_complete)) return false;
+        [[fallthrough]];
+      case Phase::kLocalComplete:
+        if (!put.ok) {
+          throw PeerFailedError("put", peers.world_pe(rank), peer(),
+                                put.attempts, put.delivered);
+        }
+        phase = Phase::kWait;
+        [[fallthrough]];
+      case Phase::kWait:
+        if (!domain->poll_or_watch(flag, Cmp::kGe, gen, block_op)) {
+          return false;
+        }
+        dist <<= 1;
+        flag += sizeof(std::int64_t);
+        phase = Phase::kIssue;
+    }
+  }
 }
 
 void Domain::wake(int pe, std::uint64_t off, std::size_t len, sim::Time t) {

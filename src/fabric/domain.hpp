@@ -17,8 +17,9 @@
 //
 // Every landed write (put, scatter record, strided element, AMO store,
 // poke) wakes the fibers waiting in wait_until() on an overlapping word of
-// that segment, so the libraries above implement shmem_wait_until and their
-// barrier spins without polling.
+// that segment, so the libraries above implement shmem_wait_until without
+// polling. The Domain also runs the one dissemination barrier the libraries
+// call (barrier()), on round flags it keeps at the base of every segment.
 //
 // The vendor-style APIs (fabric::verbs, fabric::dmapp), the OpenSHMEM
 // transports, and the MPI-3 RMA subset are all thin veneers over Domain with
@@ -106,10 +107,40 @@ constexpr bool compare(std::int64_t v, Cmp cmp, std::int64_t ref) {
   return false;
 }
 
+/// Most dissemination rounds a barrier takes, and so log2 of the most PEs a
+/// Domain holds. Tree collectives above size their per-level arrays by it.
+inline constexpr int kMaxRounds = 16;
+
+/// The barrier's round flags: round r's int64 sits 8r bytes into every
+/// segment. Libraries lay their own symmetric state out from here.
+inline constexpr std::size_t kBarrierBytes = kMaxRounds * sizeof(std::int64_t);
+
+/// An OpenSHMEM active set: the PEs pe_start + k*2^log_pe_stride for
+/// k in [0, pe_size). The classic triplet addressing of the 1.x
+/// collectives.
+struct ActiveSet {
+  int pe_start = 0;
+  int log_pe_stride = 0;
+  int pe_size = 1;
+
+  int stride() const { return 1 << log_pe_stride; }
+  int world_pe(int rel) const { return pe_start + rel * stride(); }
+  /// Relative rank of a world PE in this set, or -1 if not a member.
+  int rel_of(int pe) const {
+    const int d = pe - pe_start;
+    if (d < 0 || d % stride() != 0) return -1;
+    const int rel = d / stride();
+    return rel < pe_size ? rel : -1;
+  }
+};
+
 class Domain {
  public:
   /// One segment of `segment_bytes` is allocated per PE; segments are
-  /// symmetric (same size, addressable by (pe, offset)).
+  /// symmetric (same size, addressable by (pe, offset)). Throws
+  /// std::invalid_argument, before allocating any segment, when the
+  /// fabric has more than 2^kMaxRounds PEs or a segment would not exceed
+  /// the kBarrierBytes of round flags.
   Domain(sim::Engine& engine, net::Fabric& fabric, net::SwProfile sw,
          std::size_t segment_bytes);
 
@@ -222,7 +253,59 @@ class Domain {
   bool poll_or_watch(std::uint64_t off, Cmp cmp, std::int64_t value,
                      const char* block_op);
 
+  /// Barrier over every PE, on the round flags at [0, kBarrierBytes) with
+  /// the calling PE's next whole-domain generation (next_barrier_gen()).
+  void barrier(bool pipelined, const char* block_op) {
+    if (npes() == 1) return;
+    barrier(ActiveSet{0, 0, npes()}, 0, next_barrier_gen(), pipelined,
+            block_op);
+  }
+
+  /// Dissemination barrier over `peers`, which holds the calling PE: in
+  /// round r, rank k puts `gen` into the round-r flag (flag_off + 8r) of
+  /// rank k + 2^r, as put() with `pipelined` would, then waits until its
+  /// own round-r flag reaches `gen` (the wait is labelled `block_op`).
+  /// Generations only grow, so flags are reused without sense reversal.
+  /// The rounds run as one parked step (sim::Engine::run_parked) whose
+  /// state lives here, one per PE; the events are those of the put and
+  /// wait_until calls, and the fiber is switched in once. Throws
+  /// PeerFailedError, as put() does, when a round's put gives up.
+  void barrier(const ActiveSet& peers, std::uint64_t flag_off,
+               std::int64_t gen, bool pipelined, const char* block_op);
+
+  /// Bumps and returns the calling PE's whole-domain barrier generation,
+  /// the value a barrier on the flags at [0, kBarrierBytes) waits for.
+  std::int64_t next_barrier_gen() {
+    return ++barrier_[current_pe()].domain_gen;
+  }
+
  private:
+  /// One PE's barrier: its whole-domain generation, and the parked step's
+  /// state, kept here rather than on the fiber's stack, which the scheduler
+  /// would touch cold.
+  struct BarrierStep {
+    enum class Phase : std::uint8_t { kIssue, kLocalComplete, kWait };
+
+    std::int64_t domain_gen = 0;
+    // The barrier in progress.
+    Domain* domain = nullptr;
+    ActiveSet peers;
+    int rank = 0;
+    int dist = 1;
+    std::uint64_t flag = 0;  ///< this round's flag
+    std::int64_t gen = 0;
+    const char* block_op = nullptr;
+    bool pipelined = false;
+    Phase phase = Phase::kIssue;
+    net::PutCompletion put{};
+
+    int peer() const { return peers.world_pe((rank + dist) % peers.pe_size); }
+    static bool step(void* self) {
+      return static_cast<BarrierStep*>(self)->run();
+    }
+    bool run();
+  };
+
   int current_pe() const;
   void note_outstanding(int src_pe, sim::Time t);
   /// Resumes, at time `t`, every fiber waiting on a word of `pe`'s segment
@@ -410,6 +493,7 @@ class Domain {
     sim::Fiber* fiber;
   };
   std::vector<std::vector<Watcher>> watchers_;  ///< per PE, in block order
+  std::vector<BarrierStep> barrier_;            ///< per PE
 };
 
 }  // namespace fabric

@@ -2,20 +2,14 @@
 
 #include <cassert>
 #include <cstring>
-#include <stdexcept>
 
 namespace gasnet {
 
 World::World(sim::Engine& engine, net::Fabric& fabric, net::SwProfile sw,
              std::size_t seg_bytes)
     : engine_(engine) {
-  if (seg_bytes <= reserved_bytes()) {
-    throw std::invalid_argument("gasnet::World: segment too small");
-  }
   domain_ = std::make_unique<fabric::Domain>(engine, fabric, std::move(sw),
                                              seg_bytes);
-  barrier_gen_.assign(domain_->npes(), 0);
-  barrier_flags_off_ = 0;
   // GASNet barriers are AM-based in every conduit: the notify message runs
   // a handler on the target CPU that bumps the round flag.
   barrier_handler_ = register_handler(
@@ -123,19 +117,18 @@ std::uint64_t World::am_request_reply(int node, int handler,
 }
 
 void World::barrier() {
+  // The Domain's dissemination rounds and flags, with each notify sent as
+  // an active message rather than a put.
   const int me = mynode();
   const int n = nodes();
   if (n == 1) return;
-  const std::int64_t gen = ++barrier_gen_[me];
-  int round = 0;
-  for (int dist = 1; dist < n; dist <<= 1, ++round) {
-    assert(round < kMaxRounds);
-    const int peer = (me + dist) % n;
-    const std::uint64_t flag_off =
-        barrier_flags_off_ + static_cast<std::uint64_t>(round) * sizeof(std::int64_t);
-    am_request(peer, barrier_handler_, flag_off,
+  const std::int64_t gen = domain_->next_barrier_gen();
+  std::uint64_t flag_off = 0;
+  for (int dist = 1; dist < n; dist <<= 1) {
+    am_request((me + dist) % n, barrier_handler_, flag_off,
                static_cast<std::uint64_t>(gen));
     block_until(flag_off, fabric::Cmp::kGe, gen);
+    flag_off += sizeof(std::int64_t);
   }
 }
 

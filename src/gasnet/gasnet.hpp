@@ -98,8 +98,9 @@ class World {
                                  const void* payload = nullptr,
                                  std::size_t payload_bytes = 0);
 
-  /// Barrier (gasnet_barrier_notify/wait rolled into one, dissemination
-  /// over nbi puts + local spinning).
+  /// Barrier (gasnet_barrier_notify/wait rolled into one): dissemination
+  /// over AM notifies + local spinning, on the Domain's barrier flags at
+  /// [0, fabric::kBarrierBytes) of the segment.
   void barrier();
 
   /// Blocks the calling fiber until the int64 at `off` in the local segment
@@ -113,17 +114,7 @@ class World {
   sim::Engine& engine_;
   std::unique_ptr<fabric::Domain> domain_;
   std::vector<Handler> handlers_;
-  std::vector<std::int64_t> barrier_gen_;
-  std::uint64_t barrier_flags_off_ = 0;  // first kMaxRounds int64s of segment
   int barrier_handler_ = -1;
-  static constexpr int kMaxRounds = 16;
-
- public:
-  /// Bytes of segment reserved for the conduit's own barrier flags;
-  /// layered code must allocate at or beyond this offset.
-  static constexpr std::size_t reserved_bytes() {
-    return kMaxRounds * sizeof(std::int64_t);
-  }
 };
 
 }  // namespace gasnet

@@ -1,22 +1,17 @@
 #include "mpi3/rma.hpp"
 
 #include <cassert>
-#include <stdexcept>
 
 namespace mpi3 {
 
 Window::Window(sim::Engine& engine, net::Fabric& fabric, net::SwProfile sw,
                std::size_t win_bytes)
     : engine_(engine) {
-  if (win_bytes <= reserved_bytes()) {
-    throw std::invalid_argument("mpi3::Window: window too small");
-  }
   domain_ = std::make_unique<fabric::Domain>(engine, fabric, std::move(sw),
                                              win_bytes);
-  barrier_gen_.assign(domain_->npes(), 0);
-  const std::uint64_t base = (reserved_bytes() + 15) & ~std::uint64_t{15};
-  heap_ = std::make_unique<shmem::CollectiveAllocLog>(domain_->npes(), base,
-                                                      win_bytes - base);
+  heap_ = std::make_unique<shmem::CollectiveAllocLog>(
+      domain_->npes(), fabric::kBarrierBytes,
+      win_bytes - fabric::kBarrierBytes);
 }
 
 Window::~Window() = default;
@@ -108,19 +103,8 @@ void Window::free_collective(std::uint64_t off) {
 }
 
 void Window::barrier() {
-  const int me = rank();
-  const int n = size();
-  if (n == 1) return;
-  const std::int64_t gen = ++barrier_gen_[me];
-  int round = 0;
-  for (int dist = 1; dist < n; dist <<= 1, ++round) {
-    assert(round < 16);
-    const int peer = (me + dist) % n;
-    const std::uint64_t off =
-        static_cast<std::uint64_t>(round) * sizeof(std::int64_t);
-    put(&gen, sizeof gen, peer, off);
-    block_until_ge(off, gen);
-  }
+  // Each round's put is a blocking MPI_Put, as put() issues it.
+  domain_->barrier(/*pipelined=*/false, "mpi3_wait_until");
 }
 
 }  // namespace mpi3

@@ -81,20 +81,13 @@ class Window {
                         std::int64_t value) {
     domain_->wait_until(off, cmp, value, "mpi3_wait_until");
   }
-  /// MPI_Barrier over COMM_WORLD (dissemination on flags in the window's
-  /// reserved prefix).
+  /// MPI_Barrier over COMM_WORLD: the Domain's barrier, whose flags fill
+  /// the first fabric::kBarrierBytes of the window.
   void barrier();
 
-  static constexpr std::size_t reserved_bytes() { return 16 * sizeof(std::int64_t); }
-
  private:
-  void block_until_ge(std::uint64_t off, std::int64_t gen) {
-    wait_until_local(off, fabric::Cmp::kGe, gen);
-  }
-
   sim::Engine& engine_;
   std::unique_ptr<fabric::Domain> domain_;
-  std::vector<std::int64_t> barrier_gen_;
   /// Collective allocation replay (like the other worlds).
   std::unique_ptr<shmem::CollectiveAllocLog> heap_;
 };

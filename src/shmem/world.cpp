@@ -6,68 +6,7 @@
 
 namespace shmem {
 
-namespace {
-
-// The dissemination rounds of shmem_barrier_all and shmem_barrier as one
-// parked step (sim::Engine::run_parked), run host-side at each of the PE's
-// resume events: in round r, `rank` notifies rank + 2^r and waits for
-// rank - 2^r. Round r's flag is the int64 8r bytes past round 0's. Flag
-// values are monotone generations, so slots are reusable without sense
-// reversal. A round is the put, local-completion wait and flag wait that
-// putmem_nbi and wait_until make, in the same order, so every event keeps
-// its (time, seq).
-struct Dissemination {
-  enum class Phase { kIssue, kLocalComplete, kWait };
-
-  fabric::Domain* domain;
-  ActiveSet peers;  ///< rank -> world PE
-  int rank;
-  std::uint64_t flag;  ///< this round's flag; round 0's is the base
-  std::int64_t gen;
-  int dist = 1;
-  Phase phase = Phase::kIssue;
-  net::PutCompletion put{};
-
-  int peer() const { return peers.world_pe((rank + dist) % peers.pe_size); }
-
-  static bool step(void* self) {
-    return static_cast<Dissemination*>(self)->run();
-  }
-
-  bool run() {
-    for (;;) {
-      switch (phase) {
-        case Phase::kIssue:
-          if (dist >= peers.pe_size) return true;
-          put = domain->put_issue(peer(), flag, &gen, sizeof gen,
-                                 /*pipelined=*/true);
-          phase = Phase::kLocalComplete;
-          if (domain->engine().park_until(put.local_complete)) return false;
-          [[fallthrough]];
-        case Phase::kLocalComplete:
-          if (!put.ok) {
-            throw fabric::PeerFailedError("put", peers.world_pe(rank), peer(),
-                                          put.attempts, put.delivered);
-          }
-          phase = Phase::kWait;
-          [[fallthrough]];
-        case Phase::kWait:
-          if (!domain->poll_or_watch(flag, Cmp::kGe, gen, "shmem_wait_until")) {
-            return false;
-          }
-          dist <<= 1;
-          flag += sizeof(std::int64_t);
-          phase = Phase::kIssue;
-      }
-    }
-  }
-};
-
-}  // namespace
-
 struct World::CollectiveState {
-  Dissemination barrier{};  ///< the parked barrier step's state
-  std::int64_t barrier_gen = 0;
   std::int64_t bcast_gen = 0;
   std::int64_t reduce_gen = 0;
 };
@@ -75,24 +14,16 @@ struct World::CollectiveState {
 World::World(sim::Engine& engine, net::Fabric& fabric, net::SwProfile sw,
              std::size_t heap_bytes)
     : engine_(engine) {
-  // The internal flag and slot arrays hold one entry per round; a larger
-  // world would run past them into the next array and the user heap.
-  if (fabric.npes() > (1 << kMaxRounds)) {
-    throw std::invalid_argument(
-        "shmem::World: " + std::to_string(fabric.npes()) +
-        " PEs exceed the supported maximum of " +
-        std::to_string(1 << kMaxRounds));
-  }
-  // Internal symmetric layout at the base of every segment.
-  std::uint64_t off = 0;
-  barrier_flags_off_ = off;
-  off += kMaxRounds * sizeof(std::int64_t);
+  // Internal symmetric layout at the base of every segment. The Domain
+  // holds at most 2^kMaxRounds PEs, so the reduce tree has at most
+  // kMaxRounds levels.
+  std::uint64_t off = fabric::kBarrierBytes;
   bcast_flag_off_ = off;
   off += sizeof(std::int64_t);
   reduce_flags_off_ = off;
-  off += kMaxRounds * sizeof(std::int64_t);
+  off += fabric::kMaxRounds * sizeof(std::int64_t);
   reduce_slots_off_ = off;
-  off += kMaxRounds * kReduceSlotBytes;
+  off += fabric::kMaxRounds * kReduceSlotBytes;
   internal_bytes_ = (off + 15) & ~std::uint64_t{15};
   if (heap_bytes <= internal_bytes_) {
     throw std::invalid_argument(
@@ -105,10 +36,7 @@ World::World(sim::Engine& engine, net::Fabric& fabric, net::SwProfile sw,
   heap_ = std::make_unique<CollectiveAllocLog>(
       domain_->npes(), internal_bytes_, heap_bytes - internal_bytes_);
   psync_gens_.resize(domain_->npes());
-  coll_.reserve(domain_->npes());
-  for (int i = 0; i < domain_->npes(); ++i) {
-    coll_.push_back(std::make_unique<CollectiveState>());
-  }
+  coll_.resize(domain_->npes());
 }
 
 World::~World() = default;
@@ -304,26 +232,13 @@ std::int64_t World::fetch_xor(std::int64_t* target, std::int64_t mask, int pe) {
 // ---------------------------------------------------------------------------
 
 void World::barrier_all() {
-  const int me = my_pe();
-  const int n = n_pes();
-  if (n == 1) return;
-  const std::int64_t gen = ++coll_[me]->barrier_gen;
-  dissemination_barrier(ActiveSet{0, 0, n}, me, barrier_flags_off_, gen);
-}
-
-void World::dissemination_barrier(const ActiveSet& peers, int rank,
-                                  std::uint64_t flag_off, std::int64_t gen) {
-  // The step's state lives with the PE's other collective state, not on
-  // the parked fiber's stack, which the scheduler would touch cold.
-  Dissemination& d = coll_[peers.world_pe(rank)]->barrier;
-  d = Dissemination{domain_.get(), peers, rank, flag_off, gen};
-  engine_.run_parked(&Dissemination::step, &d);
+  domain_->barrier(/*pipelined=*/true, "shmem_wait_until");
 }
 
 void World::broadcast(void* buf, std::size_t nbytes, int root) {
   const int me = my_pe();
   const int n = n_pes();
-  auto& cs = *coll_[me];
+  auto& cs = coll_[me];
   const std::int64_t gen = ++cs.bcast_gen;
   if (n == 1) return;
   const int vrank = (me - root + n) % n;
@@ -361,14 +276,14 @@ void World::reduce_bytes(
   const int n = n_pes();
   if (dst != src) std::memmove(dst, src, bytes);
   if (n == 1) return;
-  auto& cs = *coll_[me];
+  auto& cs = coll_[me];
   const std::int64_t gen = ++cs.reduce_gen;
   // Binomial combine toward PE 0, one slot+flag per tree level, then
   // broadcast the result (§IV footnote: UHCAF reductions are built from
   // one-sided operations).
   int level = 0;
   for (int mask = 1; mask < n; mask <<= 1, ++level) {
-    assert(level < kMaxRounds);
+    assert(level < fabric::kMaxRounds);
     if (me & mask) {
       const int peer = me - mask;
       auto* slot = domain_->segment(me) + reduce_slots_off_ +
@@ -466,12 +381,10 @@ void World::validate_member(const ActiveSet& as, const char* what) const {
 
 void World::barrier(const ActiveSet& as, std::int64_t* pSync) {
   validate_member(as, "shmem_barrier");
-  const int me = my_pe();
-  const int rel = as.rel_of(me);
-  const int n = as.pe_size;
-  if (n == 1) return;
+  if (as.pe_size == 1) return;
   const std::uint64_t psync_off = sym_off(pSync, "shmem_barrier pSync");
-  dissemination_barrier(as, rel, psync_off, next_psync_gen(me, psync_off));
+  domain_->barrier(as, psync_off, next_psync_gen(my_pe(), psync_off),
+                   /*pipelined=*/true, "shmem_wait_until");
 }
 
 void World::broadcast(const ActiveSet& as, void* dst, const void* src,

@@ -39,24 +39,8 @@ using Cmp = fabric::Cmp;
 /// Reduction operators for the to_all collectives.
 enum class ReduceOp { kSum, kProd, kMin, kMax, kAnd, kOr, kXor };
 
-/// An OpenSHMEM active set: the PEs PE_start + k*2^logPE_stride for
-/// k in [0, PE_size). The classic triplet addressing of the 1.x
-/// collectives.
-struct ActiveSet {
-  int pe_start = 0;
-  int log_pe_stride = 0;
-  int pe_size = 1;
-
-  int stride() const { return 1 << log_pe_stride; }
-  int world_pe(int rel) const { return pe_start + rel * stride(); }
-  /// Relative rank of a world PE in this set, or -1 if not a member.
-  int rel_of(int pe) const {
-    const int d = pe - pe_start;
-    if (d < 0 || d % stride() != 0) return -1;
-    const int rel = d / stride();
-    return rel < pe_size ? rel : -1;
-  }
-};
+/// An OpenSHMEM active set (PE_start, logPE_stride, PE_size).
+using ActiveSet = fabric::ActiveSet;
 
 /// Minimum pSync length (in int64 slots) our collectives require — one per
 /// dissemination/tree round plus one broadcast flag (covers 2^16 PEs).
@@ -218,13 +202,9 @@ class World {
   const CollectiveAllocLog& heap_log() const { return *heap_; }
 
  private:
-  struct CollectiveState;  // per-PE internal offsets & generation counters
+  struct CollectiveState;  // per-PE generation counters
 
   std::uint64_t sym_off(const void* ptr, const char* what) const;
-  /// The dissemination barrier shared by barrier_all() and barrier(): the
-  /// calling PE is `rank` of `peers`, round r's flag sits at flag_off + 8r.
-  void dissemination_barrier(const ActiveSet& peers, int rank,
-                             std::uint64_t flag_off, std::int64_t gen);
   void reduce_bytes(void* dst, const void* src, std::size_t nelems,
                     std::size_t elem_bytes,
                     const std::function<void(void*, const void*)>& combine);
@@ -239,17 +219,16 @@ class World {
   sim::Engine& engine_;
   std::unique_ptr<fabric::Domain> domain_;
   std::unique_ptr<CollectiveAllocLog> heap_;  ///< shmalloc/shfree replay
-  std::vector<std::unique_ptr<CollectiveState>> coll_;
+  std::vector<CollectiveState> coll_;
   std::vector<std::unordered_map<std::uint64_t, std::int64_t>> psync_gens_;
 
-  // Internal symmetric layout (offsets within each segment).
+  // Internal symmetric layout (offsets within each segment), after the
+  // Domain's barrier flags; kMaxRounds is fabric::kMaxRounds.
   std::uint64_t internal_bytes_ = 0;
-  std::uint64_t barrier_flags_off_ = 0;   // kMaxRounds int64
   std::uint64_t bcast_flag_off_ = 0;      // 1 int64
   std::uint64_t reduce_flags_off_ = 0;    // kMaxRounds int64
   std::uint64_t reduce_slots_off_ = 0;    // kMaxRounds * kReduceSlotBytes
 
-  static constexpr int kMaxRounds = 16;   // 1 << kMaxRounds PEs at most
   static constexpr std::size_t kReduceSlotBytes = 8192;
 };
 

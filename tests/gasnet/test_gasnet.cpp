@@ -28,7 +28,7 @@ struct Harness {
   }
 };
 
-constexpr std::uint64_t kOff = gasnet::World::reserved_bytes() + 64;
+constexpr std::uint64_t kOff = fabric::kBarrierBytes + 64;
 
 }  // namespace
 

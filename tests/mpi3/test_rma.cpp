@@ -26,7 +26,7 @@ struct Harness {
   }
 };
 
-constexpr std::uint64_t kOff = mpi3::Window::reserved_bytes() + 64;
+constexpr std::uint64_t kOff = fabric::kBarrierBytes + 64;
 
 }  // namespace
 

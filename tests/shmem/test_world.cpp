@@ -283,6 +283,8 @@ TEST(ShmemWorld, BarrierAllWorkCountersAreExact) {
   EXPECT_EQ(*std::max_element(left.begin(), left.end()), 37'381);
 }
 
+// The PE limit lives in fabric::Domain; World must still refuse such a
+// world before it allocates its symmetric heap.
 TEST(ShmemWorld, RejectsMorePesThanTheRoundArraysHold) {
   sim::Engine engine;
   net::Fabric fabric(net::machine_profile(net::Machine::kStampede),
