@@ -25,12 +25,14 @@ echo "=== Sanitize build (ASan/UBSan) + fault/sim/coll/lib/caf-label tests ==="
 # co_broadcast/co_<op> path, in fault-free and resilient runs alike. The
 # `lib` label carries the five libraries' own tests and the Domain's: the
 # shared wait table, barrier and collective-allocation log live there, and
-# UPC's barrier and collectives ride shmem::World's. The `caf`
+# UPC's barrier and collectives ride shmem::World's. It also carries
+# net::Fabric's (test_net), whose submit_* timings every Domain route step
+# consumes. The `caf`
 # label carries the runtime's conduit conformance, lock and RMA-pipeline
 # tests, which cover the conduits' deferred-quiet put tracker.
 cmake -B build-sanitize -S . "${GENERATOR[@]}" -DCMAKE_BUILD_TYPE=Sanitize
 cmake --build build-sanitize -j "$JOBS" --target test_faults test_sim test_sim_scale test_intranode test_rpc test_rpc_faults test_nonblocking test_coll \
-  test_fabric test_barrier test_shmem test_gasnet test_mpi3 test_armci test_craycaf test_upc test_caf
+  test_net test_fabric test_barrier test_shmem test_gasnet test_mpi3 test_armci test_craycaf test_upc test_caf
 ASAN_OPTIONS=${ASAN_OPTIONS:-detect_leaks=1:strict_string_checks=1} \
 UBSAN_OPTIONS=${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1} \
   ctest --test-dir build-sanitize -L "faults|sim|intranode|rpc|coll|lib|caf" --output-on-failure -j "$JOBS"

@@ -115,30 +115,33 @@ Domain::NodeTele& Domain::node_tele(int pe) {
   return t;
 }
 
+sim::Time Domain::slowed(int pe, sim::Time cost) const {
+  const net::FaultInjector* fi = fabric_.fault_injector();
+  return fi != nullptr ? fi->dilate(pe, cost) : cost;
+}
+
 net::PutCompletion Domain::node_oneway(int me, int dst_pe,
                                        std::size_t wire_bytes,
-                                       sim::Time extra_copy, NodeTele& t) {
+                                       sim::Time extra_copy, Counter count) {
+  NodeTele& t = node_tele(me);
   net::NodeChannel& ch = *node_;
   net::FaultInjector* fi = fabric_.fault_injector();
   const sim::Time now = engine_.now();
   sim::Time local_complete;
   sim::Time delivered;
   if (extra_copy == 0 && ch.ring_eligible(wire_bytes)) {
-    sim::Time wc = ch.ring_write_cost(wire_bytes);
-    sim::Time pc = net::NodeChannel::kRingPop;
-    if (fi != nullptr) {
-      wc = fi->dilate(me, wc);       // producer stores the slots
-      pc = fi->dilate(dst_pe, pc);   // consumer pops them
-    }
-    const net::RingPush p = ch.push(me, dst_pe, wire_bytes, now, wc, pc);
+    // The producer stores the slots; the consumer pops them.
+    const net::RingPush p =
+        ch.push(me, dst_pe, wire_bytes, now,
+                slowed(me, ch.ring_write_cost(wire_bytes)),
+                slowed(dst_pe, net::NodeChannel::kRingPop));
     local_complete = p.producer_done;
     delivered = p.delivered;
     ++*t.ring_msgs;
     if (p.stalled) ++*t.ring_stalls;
   } else {
-    sim::Time copy = ch.copy_cost(me, dst_pe, wire_bytes) + extra_copy;
-    if (fi != nullptr) copy = fi->dilate(me, copy);
-    local_complete = now + copy;
+    local_complete =
+        now + slowed(me, ch.copy_cost(me, dst_pe, wire_bytes) + extra_copy);
     delivered = local_complete + ch.visibility(me, dst_pe);
     ++*t.bulk_msgs;
   }
@@ -152,9 +155,27 @@ net::PutCompletion Domain::node_oneway(int me, int dst_pe,
     }
     fi->note_delivery(me, dst_pe, delivered);
   }
+  ++*(t.*count);
   ++*t.elided_msgs;
   *t.elided_bytes += wire_bytes;
   return {local_complete, delivered, true, 1};
+}
+
+net::RoundTrip Domain::node_roundtrip(int me, int peer,
+                                      const net::NodeRoundTrip& rt,
+                                      std::size_t bytes, Counter count) {
+  NodeTele& t = node_tele(me);
+  net::FaultInjector* fi = fabric_.fault_injector();
+  if (fi != nullptr && fi->pe_dead(peer, rt.exec)) {
+    // Loading from a detached segment faults; no retry can help.
+    fi->note_exhaustion(me, peer, rt.exec);
+    return {rt.exec, rt.exec, false, 1};
+  }
+  ++*(t.*count);
+  ++*t.elided_msgs;
+  *t.elided_bytes += bytes;
+  if (!node_->numa_local(me, peer)) ++*t.numa_remote;
+  return {rt.exec, rt.complete, true, 1};
 }
 
 Domain::PendingMsg* Domain::MsgPool::acquire() {
@@ -409,38 +430,38 @@ void Domain::wake(int pe, std::uint64_t off, std::size_t len, sim::Time t) {
   list.resize(kept);
 }
 
-net::PutCompletion Domain::put(int dst_pe, std::uint64_t dst_off,
-                               const void* src, std::size_t n,
-                               bool pipelined) {
-  const net::PutCompletion c = put_issue(dst_pe, dst_off, src, n, pipelined);
-  engine_.advance_to(c.local_complete);
-  if (!c.ok) {
-    throw PeerFailedError("put", current_pe(), dst_pe, c.attempts,
-                          c.delivered);
+namespace {
+// Copies `nelems` elements of `elem_bytes`, `src_stride` elements apart in
+// `src`, to `dst_stride` elements apart in `dst` (stride 1 packs).
+void copy_elems(std::byte* dst, std::ptrdiff_t dst_stride, const std::byte* src,
+                std::ptrdiff_t src_stride, std::size_t elem_bytes,
+                std::size_t nelems) {
+  const auto e = static_cast<std::ptrdiff_t>(elem_bytes);
+  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(nelems); ++i) {
+    std::memcpy(dst + i * dst_stride * e, src + i * src_stride * e,
+                elem_bytes);
   }
-  return c;
+}
+}  // namespace
+
+void Domain::check_span(const char* op, std::uint64_t off,
+                        std::ptrdiff_t stride, std::size_t elem_bytes,
+                        std::size_t nelems) const {
+  const std::uint64_t end =
+      off + (nelems - 1) * static_cast<std::uint64_t>(stride) * elem_bytes +
+      elem_bytes;
+  if (end > segment_bytes_) {
+    throw std::out_of_range(std::string("fabric::Domain::") + op +
+                            " beyond segment");
+  }
 }
 
-net::PutCompletion Domain::put_issue(int dst_pe, std::uint64_t dst_off,
-                                     const void* src, std::size_t n,
-                                     bool pipelined) {
-  const int me = current_pe();
-  if (dst_off + n > segment_bytes_) {
-    throw std::out_of_range("fabric::Domain::put beyond segment");
-  }
-  net::PutCompletion c;
-  if (node_routed(me, dst_pe)) {
-    // Node-local path: ring or NUMA memcpy, no fabric message. The producer
-    // pays the copy either way, so nbi and blocking puts price identically.
-    NodeTele& nt = node_tele(me);
-    c = node_oneway(me, dst_pe, n, 0, nt);
-    if (c.ok) ++*nt.puts;
-  } else {
-    c = fabric_.submit_put(me, dst_pe, n, sw_, engine_.now(), pipelined);
-  }
+template <class Pack>
+void Domain::enqueue(int me, int dst_pe, net::PutCompletion& c,
+                     std::size_t buf_bytes, Pack&& pack) {
   // A give-up is not recorded as outstanding: the bytes never land, and
   // quiet() must not stall on them.
-  if (!c.ok) return c;
+  if (!c.ok) return;
   const std::uint32_t pair = pair_id(me, dst_pe);
   c.delivered = clamp_in_order(pair, c.delivered);
   note_outstanding(me, c.delivered);
@@ -449,13 +470,51 @@ net::PutCompletion Domain::put_issue(int dst_pe, std::uint64_t dst_off,
   PendingMsg* m = msg_pool_.acquire();
   m->t = c.delivered;
   m->dst_pe = dst_pe;
-  m->op = PendingMsg::Op::kContig;
-  m->dst_off = dst_off;
-  m->payload_bytes = static_cast<std::uint32_t>(n);
-  m->buf = buf_pool_.acquire(n, &m->buf_cls);
-  std::memcpy(m->buf, src, n);
+  m->buf = buf_pool_.acquire(buf_bytes, &m->buf_cls);
+  pack(*m);
   m->seq = engine_.reserve_seq();
   stream_append(pair, m);
+}
+
+void Domain::complete_local(const char* op, int me, int dst_pe,
+                            const net::PutCompletion& c) {
+  engine_.advance_to(c.local_complete);
+  if (!c.ok) throw PeerFailedError(op, me, dst_pe, c.attempts, c.delivered);
+}
+
+void Domain::check_reply(const char* op, int me, int peer,
+                         const net::RoundTrip& rt) {
+  if (rt.ok) return;
+  engine_.advance_to(rt.complete);
+  throw PeerFailedError(op, me, peer, rt.attempts, rt.complete);
+}
+
+net::PutCompletion Domain::put(int dst_pe, std::uint64_t dst_off,
+                               const void* src, std::size_t n,
+                               bool pipelined) {
+  const net::PutCompletion c = put_issue(dst_pe, dst_off, src, n, pipelined);
+  complete_local("put", current_pe(), dst_pe, c);
+  return c;
+}
+
+net::PutCompletion Domain::put_issue(int dst_pe, std::uint64_t dst_off,
+                                     const void* src, std::size_t n,
+                                     bool pipelined) {
+  const int me = current_pe();
+  check_span("put", dst_off, 1, n, 1);
+  // The node route is a ring push or a NUMA memcpy, with no fabric message.
+  // The producer pays the copy either way, so nbi and blocking puts price
+  // identically there.
+  net::PutCompletion c =
+      node_routed(me, dst_pe)
+          ? node_oneway(me, dst_pe, n, 0, &NodeTele::puts)
+          : fabric_.submit_put(me, dst_pe, n, sw_, engine_.now(), pipelined);
+  enqueue(me, dst_pe, c, n, [&](PendingMsg& m) {
+    m.op = PendingMsg::Op::kContig;
+    m.dst_off = dst_off;
+    m.payload_bytes = static_cast<std::uint32_t>(n);
+    std::memcpy(m.buf, src, n);
+  });
   return c;
 }
 
@@ -471,103 +530,31 @@ net::PutCompletion Domain::put_scatter(int dst_pe, const ScatterRec* recs,
       throw std::out_of_range("fabric::Domain::put_scatter beyond segment");
     }
   }
-  net::PutCompletion c;
-  if (node_routed(me, dst_pe)) {
-    // Node-local vectored put: one copy of the packed payload plus
-    // per-record pointer math; the (offset, length) headers never exist —
-    // there is no wire message to carry them.
-    NodeTele& nt = node_tele(me);
-    c = node_oneway(me, dst_pe, payload_bytes,
-                    static_cast<sim::Time>(nrecs) * net::NodeChannel::kElemGap,
-                    nt);
-    if (c.ok) ++*nt.scatters;
-  } else {
-    // One wire message: packed payload plus an (offset, length) header per
-    // record. The whole vector shares a single injection cost — that is
-    // the entire point of write combining.
-    const std::size_t wire = payload_bytes + nrecs * kScatterRecWire;
-    c = fabric_.submit_put(me, dst_pe, wire, sw_, engine_.now(), pipelined);
-  }
-  if (!c.ok) {
-    engine_.advance_to(c.local_complete);
-    throw PeerFailedError("put_scatter", me, dst_pe, c.attempts, c.delivered);
-  }
-  const std::uint32_t pair = pair_id(me, dst_pe);
-  c.delivered = clamp_in_order(pair, c.delivered);
-  note_outstanding(me, c.delivered);
+  // Over the fabric: one wire message, the packed payload plus an (offset,
+  // length) header per record, sharing a single injection cost; that is
+  // the entire point of write combining. On the node route the headers
+  // never exist, and each record costs pointer math on top of one copy.
+  net::PutCompletion c =
+      node_routed(me, dst_pe)
+          ? node_oneway(me, dst_pe, payload_bytes,
+                        static_cast<sim::Time>(nrecs) *
+                            net::NodeChannel::kElemGap,
+                        &NodeTele::scatters)
+          : fabric_.submit_put(me, dst_pe,
+                               payload_bytes + nrecs * kScatterRecWire, sw_,
+                               engine_.now(), pipelined);
   // Pack records then payload into one pooled buffer.
   const std::size_t hdr = nrecs * sizeof(ScatterRec);
-  PendingMsg* m = msg_pool_.acquire();
-  m->t = c.delivered;
-  m->dst_pe = dst_pe;
-  m->op = PendingMsg::Op::kScatter;
-  m->nelems = static_cast<std::uint32_t>(nrecs);
-  m->payload_bytes = static_cast<std::uint32_t>(payload_bytes);
-  m->payload_off = static_cast<std::uint32_t>(hdr);
-  m->buf = buf_pool_.acquire(hdr + payload_bytes, &m->buf_cls);
-  std::memcpy(m->buf, recs, hdr);
-  std::memcpy(m->buf + hdr, payload, payload_bytes);
-  m->seq = engine_.reserve_seq();
-  stream_append(pair, m);
-  engine_.advance_to(c.local_complete);
-  return c;
-}
-
-void Domain::get(void* dst, int src_pe, std::uint64_t src_off, std::size_t n) {
-  const int me = current_pe();
-  if (src_off + n > segment_bytes_) {
-    throw std::out_of_range("fabric::Domain::get beyond segment");
-  }
-  if (node_routed(me, src_pe)) {
-    // Node-local read: the caller's own core streams the bytes out of the
-    // peer's shared segment — no request message, no NIC.
-    net::NodeChannel& ch = *node_;
-    net::FaultInjector* fi = fabric_.fault_injector();
-    NodeTele& nt = node_tele(me);
-    sim::Time issue = net::NodeChannel::kBulkIssue;
-    if (fi != nullptr) issue = fi->dilate(me, issue);
-    const net::NodeRoundTrip rt = ch.get(me, src_pe, n, engine_.now(), issue);
-    if (fi != nullptr && fi->pe_dead(src_pe, rt.exec)) {
-      // Loading from a detached segment faults; no retry can help.
-      fi->note_exhaustion(me, src_pe, rt.exec);
-      engine_.advance_to(rt.exec);
-      throw PeerFailedError("get", me, src_pe, 1, rt.exec);
-    }
-    ++*nt.gets;
-    ++*nt.elided_msgs;
-    *nt.elided_bytes += n;
-    if (!ch.numa_local(me, src_pe)) ++*nt.numa_remote;
-    sim::Fiber* f = engine_.current_fiber();
-    f->set_block_op("get", src_pe);
-    engine_.schedule(rt.exec, [this, f, dst, src_pe, src_off, n, rt] {
-      auto snapshot = std::make_shared<std::vector<std::byte>>(n);
-      std::memcpy(snapshot->data(), segments_[src_pe].data() + src_off, n);
-      engine_.schedule(rt.complete, [this, f, dst, snapshot, rt] {
-        std::memcpy(dst, snapshot->data(), snapshot->size());
-        engine_.resume(*f, rt.complete);
-      });
-    });
-    engine_.block();
-    return;
-  }
-  const auto rt = fabric_.submit_get(me, src_pe, n, sw_, engine_.now());
-  if (!rt.ok) {
-    engine_.advance_to(rt.complete);
-    throw PeerFailedError("get", me, src_pe, rt.attempts, rt.complete);
-  }
-  sim::Fiber* f = engine_.current_fiber();
-  f->set_block_op("get", src_pe);
-  // Snapshot target memory at the moment the NIC services the read, then
-  // hand the bytes to the blocked initiator at reply time.
-  engine_.schedule(rt.target_read, [this, f, dst, src_pe, src_off, n, rt] {
-    auto snapshot = std::make_shared<std::vector<std::byte>>(n);
-    std::memcpy(snapshot->data(), segments_[src_pe].data() + src_off, n);
-    engine_.schedule(rt.complete, [this, f, dst, snapshot, rt] {
-      std::memcpy(dst, snapshot->data(), snapshot->size());
-      engine_.resume(*f, rt.complete);
-    });
+  enqueue(me, dst_pe, c, hdr + payload_bytes, [&](PendingMsg& m) {
+    m.op = PendingMsg::Op::kScatter;
+    m.nelems = static_cast<std::uint32_t>(nrecs);
+    m.payload_bytes = static_cast<std::uint32_t>(payload_bytes);
+    m.payload_off = static_cast<std::uint32_t>(hdr);
+    std::memcpy(m.buf, recs, hdr);
+    std::memcpy(m.buf + hdr, payload, payload_bytes);
   });
-  engine_.block();
+  complete_local("put_scatter", me, dst_pe, c);
+  return c;
 }
 
 void Domain::iput_hw(int dst_pe, std::uint64_t dst_off,
@@ -577,135 +564,87 @@ void Domain::iput_hw(int dst_pe, std::uint64_t dst_off,
   assert(sw_.hw_strided && "iput_hw requires a hardware-strided profile");
   const int me = current_pe();
   if (nelems == 0) return;
-  const std::uint64_t span =
-      dst_off + (nelems - 1) * static_cast<std::uint64_t>(dst_stride) * elem_bytes +
-      elem_bytes;
-  if (span > segment_bytes_) {
-    throw std::out_of_range("fabric::Domain::iput_hw beyond segment");
-  }
-  net::PutCompletion c;
-  if (node_routed(me, dst_pe)) {
-    // Node-local strided put: the producer core walks both strides itself;
-    // the NIC's scatter engine is not involved.
-    NodeTele& nt = node_tele(me);
-    c = node_oneway(me, dst_pe, elem_bytes * nelems,
-                    static_cast<sim::Time>(nelems) * net::NodeChannel::kElemGap,
-                    nt);
-    if (c.ok) ++*nt.strided;
-  } else {
-    c = fabric_.submit_strided_put(me, dst_pe, elem_bytes, nelems, sw_,
-                                   engine_.now(), pipelined);
-  }
-  if (!c.ok) {
-    engine_.advance_to(c.local_complete);
-    throw PeerFailedError("iput", me, dst_pe, c.attempts, c.delivered);
-  }
-  const std::uint32_t pair = pair_id(me, dst_pe);
-  c.delivered = clamp_in_order(pair, c.delivered);
-  note_outstanding(me, c.delivered);
+  check_span("iput", dst_off, dst_stride, elem_bytes, nelems);
+  // On the node route the producer core walks both strides itself; the
+  // NIC's scatter engine is not involved.
+  net::PutCompletion c =
+      node_routed(me, dst_pe)
+          ? node_oneway(me, dst_pe, elem_bytes * nelems,
+                        static_cast<sim::Time>(nelems) *
+                            net::NodeChannel::kElemGap,
+                        &NodeTele::strided)
+          : fabric_.submit_strided_put(me, dst_pe, elem_bytes, nelems, sw_,
+                                       engine_.now(), pipelined);
   // Gather the source elements at issue time; scatter happens at delivery.
-  PendingMsg* m = msg_pool_.acquire();
-  m->t = c.delivered;
-  m->dst_pe = dst_pe;
-  m->op = PendingMsg::Op::kStrided;
-  m->dst_off = dst_off;
-  m->dst_stride = dst_stride;
-  m->elem_bytes = static_cast<std::uint32_t>(elem_bytes);
-  m->nelems = static_cast<std::uint32_t>(nelems);
-  m->payload_bytes = static_cast<std::uint32_t>(elem_bytes * nelems);
-  m->buf = buf_pool_.acquire(elem_bytes * nelems, &m->buf_cls);
-  const auto* s = static_cast<const std::byte*>(src);
-  for (std::size_t i = 0; i < nelems; ++i) {
-    std::memcpy(m->buf + i * elem_bytes,
-                s + static_cast<std::ptrdiff_t>(i) * src_stride *
-                        static_cast<std::ptrdiff_t>(elem_bytes),
-                elem_bytes);
-  }
-  m->seq = engine_.reserve_seq();
-  stream_append(pair, m);
-  engine_.advance_to(c.local_complete);
+  enqueue(me, dst_pe, c, elem_bytes * nelems, [&](PendingMsg& m) {
+    m.op = PendingMsg::Op::kStrided;
+    m.dst_off = dst_off;
+    m.dst_stride = dst_stride;
+    m.elem_bytes = static_cast<std::uint32_t>(elem_bytes);
+    m.nelems = static_cast<std::uint32_t>(nelems);
+    m.payload_bytes = static_cast<std::uint32_t>(elem_bytes * nelems);
+    copy_elems(m.buf, 1, static_cast<const std::byte*>(src), src_stride,
+               elem_bytes, nelems);
+  });
+  complete_local("iput", me, dst_pe, c);
+}
+
+void Domain::get(void* dst, int src_pe, std::uint64_t src_off, std::size_t n) {
+  read(dst, 1, src_pe, src_off, 1, n, 1, /*strided=*/false);
 }
 
 void Domain::iget_hw(void* dst, std::ptrdiff_t dst_stride, int src_pe,
                      std::uint64_t src_off, std::ptrdiff_t src_stride,
                      std::size_t elem_bytes, std::size_t nelems) {
   assert(sw_.hw_strided && "iget_hw requires a hardware-strided profile");
-  const int me = current_pe();
   if (nelems == 0) return;
+  read(dst, dst_stride, src_pe, src_off, src_stride, elem_bytes, nelems,
+       /*strided=*/true);
+}
+
+void Domain::read(void* dst, std::ptrdiff_t dst_stride, int src_pe,
+                  std::uint64_t src_off, std::ptrdiff_t src_stride,
+                  std::size_t elem_bytes, std::size_t nelems, bool strided) {
+  const char* op = strided ? "iget" : "get";
+  const int me = current_pe();
+  check_span(op, src_off, src_stride, elem_bytes, nelems);
+  const std::size_t bytes = elem_bytes * nelems;
+  net::RoundTrip rt;
   if (node_routed(me, src_pe)) {
-    net::NodeChannel& ch = *node_;
-    net::FaultInjector* fi = fabric_.fault_injector();
-    NodeTele& nt = node_tele(me);
-    sim::Time issue = net::NodeChannel::kBulkIssue;
-    sim::Time gaps =
-        static_cast<sim::Time>(nelems) * net::NodeChannel::kElemGap;
-    if (fi != nullptr) {
-      issue = fi->dilate(me, issue);
-      gaps = fi->dilate(me, gaps);
-    }
-    const net::NodeRoundTrip rt =
-        ch.get(me, src_pe, elem_bytes * nelems, engine_.now(), issue, gaps);
-    if (fi != nullptr && fi->pe_dead(src_pe, rt.exec)) {
-      fi->note_exhaustion(me, src_pe, rt.exec);
-      engine_.advance_to(rt.exec);
-      throw PeerFailedError("iget", me, src_pe, 1, rt.exec);
-    }
-    ++*nt.gets;
-    ++*nt.strided;
-    ++*nt.elided_msgs;
-    *nt.elided_bytes += elem_bytes * nelems;
-    if (!ch.numa_local(me, src_pe)) ++*nt.numa_remote;
-    sim::Fiber* f = engine_.current_fiber();
-    f->set_block_op("iget", src_pe);
-    engine_.schedule(rt.exec, [this, f, dst, dst_stride, src_pe, src_off,
-                               src_stride, elem_bytes, nelems, rt] {
-      auto snapshot =
-          std::make_shared<std::vector<std::byte>>(elem_bytes * nelems);
-      for (std::size_t i = 0; i < nelems; ++i) {
-        const std::uint64_t off =
-            src_off + i * static_cast<std::uint64_t>(src_stride) * elem_bytes;
-        std::memcpy(snapshot->data() + i * elem_bytes,
-                    segments_[src_pe].data() + off, elem_bytes);
-      }
-      engine_.schedule(rt.complete, [this, f, dst, dst_stride, elem_bytes,
-                                     nelems, snapshot, rt] {
-        auto* d = static_cast<std::byte*>(dst);
-        for (std::size_t i = 0; i < nelems; ++i) {
-          std::memcpy(d + static_cast<std::ptrdiff_t>(i) * dst_stride *
-                              static_cast<std::ptrdiff_t>(elem_bytes),
-                      snapshot->data() + i * elem_bytes, elem_bytes);
-        }
-        engine_.resume(*f, rt.complete);
-      });
-    });
-    engine_.block();
-    return;
+    // The reader's own core streams the bytes out of the peer's shared
+    // segment, with per-element pointer math when strided: no request
+    // message, no NIC.
+    const sim::Time gaps =
+        strided ? static_cast<sim::Time>(nelems) * net::NodeChannel::kElemGap
+                : 0;
+    rt = node_roundtrip(me, src_pe,
+                        node_->get(me, src_pe, bytes, engine_.now(),
+                                   slowed(me, net::NodeChannel::kBulkIssue),
+                                   slowed(me, gaps)),
+                        bytes, &NodeTele::gets);
+    if (strided && rt.ok) ++*node_tele(me).strided;
+  } else {
+    rt = strided ? fabric_.submit_strided_get(me, src_pe, elem_bytes, nelems,
+                                              sw_, engine_.now())
+                 : fabric_.submit_get(me, src_pe, bytes, sw_, engine_.now());
   }
-  const auto rt = fabric_.submit_strided_get(me, src_pe, elem_bytes, nelems,
-                                             sw_, engine_.now());
-  if (!rt.ok) {
-    engine_.advance_to(rt.complete);
-    throw PeerFailedError("iget", me, src_pe, rt.attempts, rt.complete);
-  }
+  check_reply(op, me, src_pe, rt);
   sim::Fiber* f = engine_.current_fiber();
-  f->set_block_op("iget", src_pe);
-  engine_.schedule(rt.target_read, [this, f, dst, dst_stride, src_pe, src_off,
-                                    src_stride, elem_bytes, nelems, rt] {
-    auto snapshot = std::make_shared<std::vector<std::byte>>(elem_bytes * nelems);
-    for (std::size_t i = 0; i < nelems; ++i) {
-      const std::uint64_t off =
-          src_off + i * static_cast<std::uint64_t>(src_stride) * elem_bytes;
-      std::memcpy(snapshot->data() + i * elem_bytes,
-                  segments_[src_pe].data() + off, elem_bytes);
-    }
-    engine_.schedule(rt.complete, [this, f, dst, dst_stride, elem_bytes,
-                                   nelems, snapshot, rt] {
-      auto* d = static_cast<std::byte*>(dst);
-      for (std::size_t i = 0; i < nelems; ++i) {
-        std::memcpy(d + static_cast<std::ptrdiff_t>(i) * dst_stride *
-                            static_cast<std::ptrdiff_t>(elem_bytes),
-                    snapshot->data() + i * elem_bytes, elem_bytes);
+  f->set_block_op(op, src_pe);
+  // Snapshot target memory when the read is serviced, then hand the bytes
+  // to the blocked reader at reply time, unless a kill has unwound it (its
+  // buffer may have gone with its stack).
+  engine_.schedule(rt.target_read, [=, this] {
+    std::uint8_t cls = 0;
+    std::byte* snap = buf_pool_.acquire(bytes, &cls);
+    copy_elems(snap, 1, segments_[src_pe].data() + src_off, src_stride,
+               elem_bytes, nelems);
+    engine_.schedule(rt.complete, [=, this] {
+      if (f->state() != sim::Fiber::State::kFinished) {
+        copy_elems(static_cast<std::byte*>(dst), dst_stride, snap, 1,
+                   elem_bytes, nelems);
       }
+      buf_pool_.release(snap, cls);
       engine_.resume(*f, rt.complete);
     });
   });
@@ -715,54 +654,31 @@ void Domain::iget_hw(void* dst, std::ptrdiff_t dst_stride, int src_pe,
 std::uint64_t Domain::amo(AmoOp op, int dst_pe, std::uint64_t dst_off,
                           std::uint64_t operand, std::uint64_t cond) {
   const int me = current_pe();
-  if (dst_off + sizeof(std::uint64_t) > segment_bytes_) {
-    throw std::out_of_range("fabric::Domain::amo beyond segment");
-  }
-  sim::Time exec_at;
-  sim::Time complete_at;
+  check_span("amo", dst_off, 1, sizeof(std::uint64_t), 1);
+  net::RoundTrip rt;
   if (node_routed(me, dst_pe)) {
     // Node-local atomic: a CPU lock-prefixed RMW on the owner's cache line,
     // serialized per target PE inside the channel. The NIC atomic unit (or
     // AM handler) is never involved.
-    net::NodeChannel& ch = *node_;
+    rt = node_roundtrip(me, dst_pe,
+                        node_->amo(me, dst_pe, engine_.now(),
+                                   slowed(me, net::NodeChannel::kAmoIssue),
+                                   slowed(me, net::NodeChannel::kAmoRmw)),
+                        sizeof(std::uint64_t), &NodeTele::amos);
+    // The RMW is liveness evidence for the issuer, as a delivered fabric
+    // message is (a node-local get is not counted as such).
     net::FaultInjector* fi = fabric_.fault_injector();
-    NodeTele& nt = node_tele(me);
-    sim::Time issue = net::NodeChannel::kAmoIssue;
-    sim::Time rmw = net::NodeChannel::kAmoRmw;
-    if (fi != nullptr) {
-      issue = fi->dilate(me, issue);
-      rmw = fi->dilate(me, rmw);
-    }
-    const net::NodeRoundTrip rt = ch.amo(me, dst_pe, engine_.now(), issue, rmw);
-    if (fi != nullptr) {
-      if (fi->pe_dead(dst_pe, rt.exec)) {
-        fi->note_exhaustion(me, dst_pe, rt.exec);
-        engine_.advance_to(rt.exec);
-        throw PeerFailedError("amo", me, dst_pe, 1, rt.exec);
-      }
-      fi->note_delivery(me, dst_pe, rt.exec);
-    }
-    ++*nt.amos;
-    ++*nt.elided_msgs;
-    *nt.elided_bytes += sizeof(std::uint64_t);
-    if (!ch.numa_local(me, dst_pe)) ++*nt.numa_remote;
-    exec_at = rt.exec;
-    complete_at = rt.complete;
+    if (fi != nullptr && rt.ok) fi->note_delivery(me, dst_pe, rt.target_read);
   } else {
-    const auto rt = fabric_.submit_amo(me, dst_pe, sw_, engine_.now());
-    if (!rt.ok) {
-      engine_.advance_to(rt.complete);
-      throw PeerFailedError("amo", me, dst_pe, rt.attempts, rt.complete);
-    }
-    exec_at = rt.target_read;
-    complete_at = rt.complete;
+    rt = fabric_.submit_amo(me, dst_pe, sw_, engine_.now());
   }
-  note_outstanding(me, exec_at);
+  check_reply("amo", me, dst_pe, rt);
+  note_outstanding(me, rt.target_read);
   sim::Fiber* f = engine_.current_fiber();
   f->set_block_op("amo", dst_pe);
   auto fetched = std::make_shared<std::uint64_t>(0);
-  engine_.schedule(exec_at, [this, op, dst_pe, dst_off, operand, cond,
-                             fetched, t = exec_at] {
+  engine_.schedule(rt.target_read, [this, op, dst_pe, dst_off, operand, cond,
+                                    fetched, t = rt.target_read] {
     std::uint64_t old = 0;
     std::byte* addr = segments_[dst_pe].data() + dst_off;
     std::memcpy(&old, addr, sizeof old);
@@ -784,8 +700,8 @@ std::uint64_t Domain::amo(AmoOp op, int dst_pe, std::uint64_t dst_off,
       wake(dst_pe, dst_off, sizeof neu, t);
     }
   });
-  engine_.schedule(complete_at,
-                   [this, f, complete_at] { engine_.resume(*f, complete_at); });
+  engine_.schedule(rt.complete,
+                   [this, f, t = rt.complete] { engine_.resume(*f, t); });
   engine_.block();
   return *fetched;
 }

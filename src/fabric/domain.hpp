@@ -21,9 +21,14 @@
 // polling. The Domain also runs the one dissemination barrier the libraries
 // call (barrier()), on round flags it keeps at the base of every segment.
 //
-// The vendor-style APIs (fabric::verbs, fabric::dmapp), the OpenSHMEM
-// transports, and the MPI-3 RMA subset are all thin veneers over Domain with
-// different profiles and capability surfaces.
+// Each operation prices its transfer in one route step (a NodeChannel copy
+// for a same-node peer when the node transport is on, a net::Fabric submit
+// otherwise). Every put then shares one enqueue step onto its pair stream
+// and one local-completion step; get and iget share one snapshot read.
+//
+// The vendor-style API (fabric::dmapp), the OpenSHMEM library, and the
+// MPI-3 RMA subset are all thin veneers over Domain with different profiles
+// and capability surfaces.
 #pragma once
 
 #include <cstddef>
@@ -311,19 +316,28 @@ class Domain {
   /// Resumes, at time `t`, every fiber waiting on a word of `pe`'s segment
   /// that overlaps [off, off+len), and drops them from the wait list.
   void wake(int pe, std::uint64_t off, std::size_t len, sim::Time t);
+  /// Throws std::out_of_range, naming `op`, unless `nelems` (> 0) elements
+  /// of `elem_bytes`, `stride` elements apart from `off`, fit in a segment.
+  void check_span(const char* op, std::uint64_t off, std::ptrdiff_t stride,
+                  std::size_t elem_bytes, std::size_t nelems) const;
 
   // ---- node-local transport ----
   //
-  // When node_ is set and the destination shares the issuing PE's node, the
-  // one-sided ops below route through it: the NodeChannel supplies
-  // (local_complete, delivered) times — ring push or NUMA memcpy — and the
-  // message then joins the same pair stream/clamp machinery as fabric
-  // traffic. Faults are always honored on this path (the shared segment of
-  // a killed peer is detached; stragglers copy slowly).
+  // When node_ is set and the peer shares the issuing PE's node, an
+  // operation's route step prices it with the NodeChannel instead of the
+  // fabric: node_oneway for puts (ring push or NUMA memcpy), node_roundtrip
+  // for gets and AMOs. Both report a peer whose segment is detached in time
+  // as a give-up (ok == false), which the op's shared completion step
+  // raises, and a put then joins the same pair stream/clamp machinery as
+  // fabric traffic. Faults are always honored on this path (the shared
+  // segment of a killed peer is detached; stragglers copy slowly).
 
   bool node_routed(int src_pe, int dst_pe) const {
     return node_ != nullptr && fabric_.same_node(src_pe, dst_pe);
   }
+  /// A node-route CPU cost as `pe` pays it: dilated when the fault plan
+  /// makes `pe` a straggler.
+  sim::Time slowed(int pe, sim::Time cost) const;
   /// Cached per-PE obs counter handles for the node.* family.
   struct NodeTele {
     std::uint64_t* puts = nullptr;
@@ -338,14 +352,47 @@ class Domain {
     std::uint64_t* elided_msgs = nullptr;
     std::uint64_t* elided_bytes = nullptr;
   };
+  /// The per-op counter a node-routed transfer bumps (&NodeTele::puts, ...).
+  using Counter = std::uint64_t* NodeTele::*;
   NodeTele& node_tele(int pe);
   /// Prices a same-node one-way transfer (ring when small and contiguous,
-  /// NUMA memcpy otherwise) with fault dilation, bumps ring/bulk telemetry,
-  /// and reports `ok == false` if the peer's segment is detached before
-  /// delivery. `extra_copy` carries per-element/record gaps (forces the
-  /// bulk path). Returns {local_complete, delivered, ok, 1}.
+  /// NUMA memcpy otherwise) with fault dilation, bumps ring/bulk telemetry
+  /// and, when it lands, `count` and the elided-message counters; reports
+  /// `ok == false` if the peer's segment is detached before delivery.
+  /// `extra_copy` carries per-element/record gaps (forces the bulk path).
+  /// Returns {local_complete, delivered, ok, 1}.
   net::PutCompletion node_oneway(int me, int dst_pe, std::size_t wire_bytes,
-                                 sim::Time extra_copy, NodeTele& t);
+                                 sim::Time extra_copy, Counter count);
+  /// The node route's check and telemetry for a round trip `rt` priced by
+  /// the NodeChannel: `ok == false`, with the give-up at rt.exec, when the
+  /// peer's segment is detached by then; otherwise bumps `count` and the
+  /// elided-message counters. Returns {exec, complete, ok, 1}.
+  net::RoundTrip node_roundtrip(int me, int peer, const net::NodeRoundTrip& rt,
+                                std::size_t bytes, Counter count);
+
+  // ---- the steps every put and every round trip share ----
+
+  /// Queues a put that did not give up on its pair stream: clamps
+  /// `c.delivered` into pair order, records it as outstanding, takes a
+  /// PendingMsg with a `buf_bytes` payload buffer, lets `pack` fill the
+  /// op-specific fields and the payload, and reserves the delivery's seq.
+  /// A no-op when `!c.ok`.
+  template <class Pack>
+  void enqueue(int me, int dst_pe, net::PutCompletion& c,
+               std::size_t buf_bytes, Pack&& pack);
+  /// A put's local completion: advances the caller to `c.local_complete`,
+  /// then raises PeerFailedError (`op`) when the put gave up.
+  void complete_local(const char* op, int me, int dst_pe,
+                      const net::PutCompletion& c);
+  /// A round trip that gave up advances the caller to the give-up time and
+  /// raises PeerFailedError (`op`); otherwise a no-op.
+  void check_reply(const char* op, int me, int peer, const net::RoundTrip& rt);
+  /// The one read under get (one element of `elem_bytes`) and iget_hw
+  /// (`strided`): span check, route step, a snapshot of target memory at
+  /// the service time, and the copy into `dst` and resume at reply time.
+  void read(void* dst, std::ptrdiff_t dst_stride, int src_pe,
+            std::uint64_t src_off, std::ptrdiff_t src_stride,
+            std::size_t elem_bytes, std::size_t nelems, bool strided);
 
   // ---- pair streams ----
   //

@@ -125,14 +125,21 @@ struct CounterCase {
   sim::Time latest_leave;
 };
 
+// The cases sit in static storage, which zeroes the padding after `lib`:
+// gtest prints the raw bytes of a case into its test name, and padding
+// copied from a stack temporary would make that name change run to run.
+constexpr CounterCase kCounterCases[] = {
+    {Lib::kShmem, 9'059, 0, 37'381},
+    {Lib::kArmci, 9'135, 32, 37'142},
+    {Lib::kMpi3, 9'069, 0, 68'362},
+    {Lib::kCrayCaf, 8'961, 223, 27'997},
+};
+
 class BarrierWorkCounters : public ::testing::TestWithParam<CounterCase> {};
 
 INSTANTIATE_TEST_SUITE_P(
     OneSidedLibraries, BarrierWorkCounters,
-    ::testing::Values(CounterCase{Lib::kShmem, 9'059, 0, 37'381},
-                      CounterCase{Lib::kArmci, 9'135, 32, 37'142},
-                      CounterCase{Lib::kMpi3, 9'069, 0, 68'362},
-                      CounterCase{Lib::kCrayCaf, 8'961, 223, 27'997}),
+    ::testing::ValuesIn(kCounterCases),
     [](const ::testing::TestParamInfo<CounterCase>& info) {
       return std::string(lib_name(info.param.lib));
     });

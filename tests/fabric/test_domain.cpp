@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include "fabric/dmapp.hpp"
-#include "fabric/verbs.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <ostream>
+#include <string>
+#include <vector>
 
+#include "net/fault.hpp"
 #include "net/profiles.hpp"
 
 using namespace fabric;
@@ -237,6 +241,32 @@ TEST(Domain, HwStridedGetGathersCorrectly) {
   for (int i = 0; i < 8; ++i) EXPECT_EQ(dst[i], 7 * i);
 }
 
+TEST(Domain, GetReplyToAKilledReaderIsDropped) {
+  // PE 0 blocks in a get into a buffer on its own stack and is killed
+  // before the reply. Its stack goes back to the pool, and the fiber PE 1
+  // spawns at the kill takes it (the pool reuses the stack it got last);
+  // the reply must not land there.
+  World w;
+  std::memset(w.domain.segment(16), 0xAB, 4096);
+  w.engine.spawn(0, [&] {
+    char buf[4096];
+    w.domain.get(buf, 16, 0, sizeof buf);
+  });
+  bool intact = false;
+  w.engine.schedule(100, [&] {
+    w.engine.kill_pe(0);
+    w.engine.spawn(1, [&] {
+      char mine[8192];
+      std::memset(mine, 0x11, sizeof mine);
+      w.engine.advance(1_ms);
+      intact = std::all_of(mine, mine + sizeof mine,
+                           [](char c) { return c == 0x11; });
+    });
+  });
+  w.engine.run();
+  EXPECT_TRUE(intact);
+}
+
 TEST(Domain, QuietWaitsForAllOutstanding) {
   World w;
   w.engine.spawn(0, [&] {
@@ -259,27 +289,147 @@ TEST(Domain, OutOfRangeAccessThrows) {
     char c = 0;
     EXPECT_THROW(w.domain.put(16, 4096, &c, 1), std::out_of_range);
     EXPECT_THROW(w.domain.get(&c, 16, 5000, 1), std::out_of_range);
+    const ScatterRec past_end{4090, 8, 0};
+    const char payload[8] = {};
+    EXPECT_THROW(w.domain.put_scatter(16, &past_end, 1, payload, 8),
+                 std::out_of_range);
+    EXPECT_THROW(w.domain.amo(AmoOp::kFetchAdd, 16, 4092, 1),
+                 std::out_of_range);
   });
   w.engine.run();
+  // The hardware-strided pair: the last of 4 elements, 2 apart, would end
+  // 8 bytes past the segment.
+  World hw(32, net::Machine::kXC30, net::Library::kShmemCray, 4096);
+  hw.engine.spawn(0, [&] {
+    long v[4] = {};
+    EXPECT_THROW(hw.domain.iput_hw(16, 4048, 2, v, 1, sizeof(long), 4),
+                 std::out_of_range);
+    EXPECT_THROW(hw.domain.iget_hw(v, 1, 16, 4048, 2, sizeof(long), 4),
+                 std::out_of_range);
+  });
+  hw.engine.run();
 }
 
-TEST(Verbs, ApiRoundTrip) {
-  sim::Engine engine;
-  net::Fabric fab(net::machine_profile(net::Machine::kStampede), 32);
-  fabric::verbs::Hca hca(engine, fab, 1 << 16);
-  engine.spawn(0, [&] {
-    std::uint64_t v = 99;
-    hca.rdma_write(16, 0, &v, sizeof v);
-    hca.poll_cq_drain();
-    std::uint64_t r = 0;
-    hca.rdma_read(&r, 16, 0, sizeof r);
-    EXPECT_EQ(r, 99u);
-    EXPECT_EQ(hca.atomic_fetch_add(16, 0, 1), 99u);
-    EXPECT_EQ(hca.atomic_cmp_swap(16, 0, 100, 7), 100u);
-    hca.rdma_read(&r, 16, 0, sizeof r);
-    EXPECT_EQ(r, 7u);
-  });
+// Exact work counters of every Domain operation: a fixed script of put,
+// nbi put, put_scatter, iput_hw, get, iget_hw and amo, run by one PE on each
+// of two nodes against a same-node and an other-node peer, then against a
+// dead peer on each route. The event and switch counts and the final clock
+// are the simulated schedule and must never move; the values were measured
+// before the operations shared one route, enqueue and read step.
+struct OpsCase {
+  const char* name;
+  net::Machine machine;
+  net::Library lib;
+  bool node_transport;
+  std::uint64_t events;
+  std::uint64_t switches;
+  sim::Time end;
+  int failures;  ///< PeerFailedErrors the dead-peer operations raised
+};
+
+// Prints a case by its name: gtest's default byte dump would put the
+// address of `name` into the test name, which moves run to run.
+void PrintTo(const OpsCase& c, std::ostream* os) { *os << c.name; }
+
+class DomainWorkCounters : public ::testing::TestWithParam<OpsCase> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Profiles, DomainWorkCounters,
+    ::testing::Values(
+        OpsCase{"XC30", net::Machine::kXC30, net::Library::kShmemCray, false,
+                151, 62, 6'462'867, 12},
+        OpsCase{"XC30Node", net::Machine::kXC30, net::Library::kShmemCray,
+                true, 137, 62, 6'459'397, 24},
+        OpsCase{"Stampede", net::Machine::kStampede,
+                net::Library::kShmemMvapich, false, 113, 46, 5'066'532, 8},
+        OpsCase{"StampedeNode", net::Machine::kStampede,
+                net::Library::kShmemMvapich, true, 101, 46, 5'063'377, 16}),
+    [](const ::testing::TestParamInfo<OpsCase>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST_P(DomainWorkCounters, AreExact) {
+  // Two nodes of three PEs: {0, 1, 2} and {3, 4, 5}. PEs 0 and 3 run the
+  // script; PEs 2 and 5 die at 1 us, before anyone reaches them.
+  constexpr int kPerNode = 3;
+  const OpsCase& c = GetParam();
+  net::MachineProfile mp = net::machine_profile(c.machine);
+  mp.cores_per_node = kPerNode;
+  sim::Engine engine{64 * 1024};
+  net::Fabric fabric(mp, 2 * kPerNode);
+  net::FaultPlan plan;
+  plan.with_seed(0xD0).kill_pe(2, 1_us).kill_pe(5, 1_us);
+  net::FaultInjector injector(plan, 2 * kPerNode, kPerNode);
+  fabric.set_fault_injector(&injector);
+  injector.arm(engine);
+  Domain d(engine, fabric, net::sw_profile(c.lib, c.machine), 64 << 10);
+  net::NodeTransportOptions node;
+  node.enabled = c.node_transport;
+  d.enable_node_transport(node);
+  const bool hw = d.sw().hw_strided;
+
+  int failures = 0;
+  sim::Time end = 0;
+  for (const int me : {0, kPerNode}) {
+    engine.spawn(me, [&, me] {
+      const std::uint64_t base = static_cast<std::uint64_t>(me) * 8192;
+      std::vector<long> buf(512);
+      std::iota(buf.begin(), buf.end(), me * 1000L);
+      std::vector<long> back(512);
+      const ScatterRec recs[3] = {
+          {base + 4200, 8, 0}, {base + 4300, 16, 8}, {base + 4400, 600, 24}};
+      const int near = me + 1;
+      const int far = (me + kPerNode) % (2 * kPerNode);
+      for (const int t : {near, far}) {
+        long v = me * 100 + t;
+        d.put(t, base, &v, sizeof v);
+        d.put(t, base + 64, buf.data(), 4096, /*pipelined=*/true);
+        d.put_scatter(t, recs, 3, buf.data(), 624);
+        if (hw) d.iput_hw(t, base + 5000, 2, buf.data(), 1, sizeof(long), 16);
+        d.quiet();
+        d.get(&v, t, base, sizeof v);
+        EXPECT_EQ(v, me * 100 + t);
+        d.get(back.data(), t, base + 64, 4096);
+        EXPECT_EQ(back[511], buf[511]);
+        if (hw) {
+          d.iget_hw(back.data(), 1, t, base + 5000, 2, sizeof(long), 16);
+          EXPECT_EQ(back[15], buf[15]);
+        }
+        EXPECT_EQ(d.amo(AmoOp::kFetchAdd, t, base + 6000, 1), 0u);
+      }
+      const auto count_failure = [&](auto&& op) {
+        try {
+          op();
+        } catch (const PeerFailedError&) {
+          ++failures;
+        }
+      };
+      for (const int t : {me + 2, (me + 2 * kPerNode - 1) % (2 * kPerNode)}) {
+        long v = 0;
+        count_failure([&] { d.put(t, base, &v, sizeof v); });
+        count_failure([&] { d.put_scatter(t, recs, 3, buf.data(), 624); });
+        if (hw) {
+          count_failure([&] {
+            d.iput_hw(t, base + 5000, 2, buf.data(), 1, sizeof(long), 16);
+          });
+        }
+        count_failure([&] { d.get(&v, t, base, sizeof v); });
+        if (hw) {
+          count_failure([&] {
+            d.iget_hw(back.data(), 1, t, base + 5000, 2, sizeof(long), 16);
+          });
+        }
+        count_failure([&] { d.amo(AmoOp::kSwap, t, base + 6000, 1); });
+      }
+      end = std::max(end, engine.now());
+    });
+  }
   engine.run();
+  const sim::EngineStats st = engine.stats();
+  EXPECT_EQ(st.events, c.events);
+  EXPECT_EQ(st.switches, c.switches);
+  EXPECT_EQ(end, c.end);
+  EXPECT_EQ(failures, c.failures);
 }
 
 TEST(Dmapp, ApiRoundTripWithStrided) {
