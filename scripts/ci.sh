@@ -16,7 +16,7 @@ cmake -B build-release -S . "${GENERATOR[@]}" -DCMAKE_BUILD_TYPE=Release
 cmake --build build-release -j "$JOBS"
 ctest --test-dir build-release --output-on-failure -j "$JOBS"
 
-echo "=== Sanitize build (ASan/UBSan) + fault/sim/coll/lib/caf-label tests ==="
+echo "=== Sanitize build (ASan/UBSan) + fault/sim/coll/lib/caf/apps/obs-label tests ==="
 # The `sim` label carries the engine-scale tests (16k lazily-stacked fibers,
 # pool recycling, kill-during-lazy-stack); under ASan the fiber layer falls
 # back to the instrumented swapcontext path, so this leg checks both context
@@ -29,13 +29,17 @@ echo "=== Sanitize build (ASan/UBSan) + fault/sim/coll/lib/caf-label tests ==="
 # net::Fabric's (test_net), whose submit_* timings every Domain route step
 # consumes. The `caf`
 # label carries the runtime's conduit conformance, lock and RMA-pipeline
-# tests, which cover the conduits' deferred-quiet put tracker.
+# tests, which cover the conduits' deferred-quiet put tracker. The `apps`
+# label carries the DHT and Himeno tests, which drive the GASNet-AM and
+# ARMCI-mutex atomics across conduits, and the `obs` label the tracing and
+# critical-path analyzer tests.
 cmake -B build-sanitize -S . "${GENERATOR[@]}" -DCMAKE_BUILD_TYPE=Sanitize
 cmake --build build-sanitize -j "$JOBS" --target test_faults test_sim test_sim_scale test_intranode test_rpc test_rpc_faults test_nonblocking test_coll \
-  test_net test_fabric test_barrier test_shmem test_gasnet test_mpi3 test_armci test_craycaf test_upc test_caf
+  test_net test_fabric test_barrier test_shmem test_gasnet test_mpi3 test_armci test_craycaf test_upc test_caf \
+  test_apps test_obs
 ASAN_OPTIONS=${ASAN_OPTIONS:-detect_leaks=1:strict_string_checks=1} \
 UBSAN_OPTIONS=${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1} \
-  ctest --test-dir build-sanitize -L "faults|sim|intranode|rpc|coll|lib|caf" --output-on-failure -j "$JOBS"
+  ctest --test-dir build-sanitize -L "faults|sim|intranode|rpc|coll|lib|caf|apps|obs" --output-on-failure -j "$JOBS"
 
 echo "=== Bench smoke: RMA pipeline ==="
 # Exercise the put-bandwidth harness (including the CAF aggregation panels)

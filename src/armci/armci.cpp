@@ -22,11 +22,7 @@ void World::launch(std::function<void()> proc_main) {
   for (int p = 0; p < nproc(); ++p) engine_.spawn(p, proc_main);
 }
 
-int World::me() const {
-  sim::Fiber* f = engine_.current_fiber();
-  assert(f != nullptr && "armci calls require a process fiber context");
-  return f->pe();
-}
+int World::me() const { return domain_->current_pe(); }
 
 std::uint64_t World::malloc_collective(std::size_t bytes) {
   const std::uint64_t off = heap_->allocate(me(), bytes, "ARMCI_Malloc");

@@ -14,8 +14,6 @@
 //   * allocation maps to the collective ARMCI_Malloc.
 #pragma once
 
-#include <vector>
-
 #include "armci/armci.hpp"
 #include "caf/conduit.hpp"
 
@@ -25,12 +23,6 @@ class ArmciConduit final : public Conduit {
  public:
   explicit ArmciConduit(armci::World& world);
 
-  int rank() const override { return world_.me(); }
-  int nranks() const override { return world_.nproc(); }
-  std::byte* segment(int rank) override { return world_.base(rank); }
-  std::size_t segment_bytes() const override { return seg_bytes_; }
-  const net::SwProfile& sw() const override { return world_.domain().sw(); }
-  sim::Engine& engine() override { return world_.engine(); }
   bool hw_strided() const override { return false; }
   bool native_amo() const override { return false; }
 
@@ -48,36 +40,7 @@ class ArmciConduit final : public Conduit {
     world_.free_collective(offset);
   }
 
-  // ARMCI_Rmw only offers fetch-add and swap. The CAF runtime mixes swap,
-  // fetch-add, and compare-swap on the SAME words (the MCS tail), and a
-  // native Rmw is not atomic with respect to a mutex-emulated one — so ALL
-  // conduit atomics are serialized through the per-process emulation mutex.
-  // This honest cost is part of why the paper prefers OpenSHMEM's AMO set.
-  std::int64_t do_amo_swap(int rank, std::uint64_t off, std::int64_t v) override {
-    return emulated_rmw(rank, off, [v](std::int64_t) { return v; });
-  }
-  std::int64_t do_amo_fadd(int rank, std::uint64_t off, std::int64_t v) override {
-    return emulated_rmw(rank, off, [v](std::int64_t old) { return old + v; });
-  }
-  std::int64_t do_amo_cswap(int rank, std::uint64_t off, std::int64_t cond,
-                         std::int64_t v) override;
-  std::int64_t do_amo_fand(int rank, std::uint64_t off, std::int64_t m) override {
-    return emulated_rmw(rank, off, [m](std::int64_t v) { return v & m; });
-  }
-  std::int64_t do_amo_for(int rank, std::uint64_t off, std::int64_t m) override {
-    return emulated_rmw(rank, off, [m](std::int64_t v) { return v | m; });
-  }
-  std::int64_t do_amo_fxor(int rank, std::uint64_t off, std::int64_t m) override {
-    return emulated_rmw(rank, off, [m](std::int64_t v) { return v ^ m; });
-  }
-
   void do_barrier() override { world_.barrier(); }
-
-  bool direct_reachable(int target) override {
-    return node_transport_reachable(target);
-  }
-
-  fabric::Domain* rma_domain() override { return &world_.domain(); }
 
   armci::World& world() { return world_; }
 
@@ -125,14 +88,16 @@ class ArmciConduit final : public Conduit {
     world_.putv(rank, recs, nrecs, payload, payload_bytes);
   }
   void do_quiet() override { world_.all_fence(); }
+  // ARMCI_Rmw only offers fetch-add and swap. The CAF runtime mixes swap,
+  // fetch-add, and compare-swap on the SAME words (the MCS tail), and a
+  // native Rmw is not atomic with respect to a mutex-emulated one — so ALL
+  // conduit atomics are serialized through the per-process emulation mutex.
+  // This honest cost is part of why the paper prefers OpenSHMEM's AMO set.
+  std::int64_t do_amo(AmoOp op, int rank, std::uint64_t off,
+                      std::int64_t operand, std::int64_t cond) override;
 
  private:
-  /// Generic mutex-protected read-modify-write for the ops ARMCI_Rmw lacks.
-  std::int64_t emulated_rmw(int rank, std::uint64_t off,
-                            const std::function<std::int64_t(std::int64_t)>& f);
-
   armci::World& world_;
-  std::size_t seg_bytes_;
   int rmw_mutex_ = -1;  // conduit-internal mutex index (one per process)
 };
 

@@ -513,7 +513,7 @@ void CollectiveEngine::reduce_flat(
     // as the release (the root only reads slots before it sends).
     std::memcpy(local(slot), data, nbytes);
     count_msg(0, sizeof(std::int64_t));
-    (void)conduit_.amo_fadd(0, flat_ctr_off_, 1);
+    (void)conduit_.amo(AmoOp::kFetchAdd, 0, flat_ctr_off_, 1);
   } else {
     wait_ge(flat_ctr_off_, static_cast<std::int64_t>(n_ - 1) * fc);
     std::vector<std::byte> tmp(nbytes);
@@ -791,7 +791,7 @@ void CollectiveEngine::barrier() {
   const int lead = base;
   if (me() != lead) {
     count_msg(lead, sizeof(std::int64_t));
-    (void)conduit_.amo_fadd(lead, bar_gather_off_, 1);
+    (void)conduit_.amo(AmoOp::kFetchAdd, lead, bar_gather_off_, 1);
     wait_ge(bar_release_off_, bg);
     return;
   }

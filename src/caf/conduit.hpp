@@ -1,27 +1,32 @@
 // caf::Conduit — the communication-layer abstraction of the UHCAF runtime.
 //
-// The paper's UHCAF runtime can execute over GASNet, ARMCI, or (this
-// paper's contribution) OpenSHMEM. This interface captures exactly the
-// primitives the CAF translation of §IV needs:
+// The paper's UHCAF runtime can execute over GASNet, ARMCI, MPI-3 or (this
+// paper's contribution) OpenSHMEM. A conduit is one base over the library's
+// fabric::Domain plus the hooks that are that library's Table II mapping:
 //
+//   * identity — rank, image count, segments, software profile, engine — is
+//     read from the Domain passed to the constructor, the same for every
+//     conduit;
 //   * collective symmetric allocation       (allocate/deallocate — Table II
 //     maps CAF `allocate` to `shmalloc`);
 //   * contiguous one-sided put/get          (§IV-B, with quiet for CAF's
 //     stronger completion ordering);
-//   * 1-D strided put/get                   (§IV-C building block — may be
-//     hardware-offloaded or a software loop, the conduit decides);
-//   * 64-bit remote atomics                 (§IV-D locks; conduits without
-//     native atomics emulate them, at a cost);
+//   * 1-D strided put/get                   (§IV-C building block: a
+//     library call when the library has one, else the base class's
+//     software loop of per-element puts and gets);
+//   * 64-bit remote atomics                 (§IV-D locks; one do_amo hook
+//     per conduit; conduits without native atomics emulate them, at a
+//     cost, and all of them apply fabric::apply_amo's rule);
 //   * local wait on a symmetric 64-bit word (MCS spin-on-local) and
-//     scheduler-context pokes — shared by every conduit, since each rides
-//     a fabric::Domain and the Domain's wait table wakes the waiters;
+//     scheduler-context pokes — shared by every conduit, since the Domain's
+//     wait table wakes the waiters;
 //   * barrier. Collectives are built above the conduit from these
 //     primitives (caf::CollectiveEngine).
 //
 // All offsets are into the conduit's symmetric segment; CAF image indices
 // here are 0-based ranks (the Runtime converts to CAF's 1-based images).
 //
-// The public RMA entry points (put/iput/put_scatter/quiet/...) are
+// The public RMA entry points (put/iput/put_scatter/quiet/amo/...) are
 // NON-virtual fronts over protected do_* hooks: the base class maintains a
 // per-issuing-rank outstanding-put tracker so quiet() is elided (a cheap
 // no-op, no conduit call) when nothing is in flight. This is the
@@ -34,13 +39,14 @@
 #include <unordered_set>
 #include <vector>
 
-#include "fabric/domain.hpp"  // fabric::ScatterRec
+#include "fabric/domain.hpp"
 #include "net/model.hpp"
 #include "obs/obs.hpp"
 #include "shmem/world.hpp"  // for the shmem::ReduceOp enum reused here
 
 namespace caf {
 
+using AmoOp = fabric::AmoOp;
 using Cmp = fabric::Cmp;
 using ReduceOp = shmem::ReduceOp;
 
@@ -48,13 +54,20 @@ class Conduit {
  public:
   virtual ~Conduit() = default;
 
-  // ---- identity & segment ----
-  virtual int rank() const = 0;       // 0-based
-  virtual int nranks() const = 0;
-  virtual std::byte* segment(int rank) = 0;
-  virtual std::size_t segment_bytes() const = 0;
-  virtual const net::SwProfile& sw() const = 0;
-  virtual sim::Engine& engine() = 0;
+  // ---- identity & segment: reads of the conduit's fabric::Domain ----
+  int rank() const { return domain_.current_pe(); }  // 0-based
+  int nranks() const { return domain_.npes(); }
+  std::byte* segment(int rank) { return domain_.segment(rank); }
+  std::size_t segment_bytes() const { return domain_.segment_bytes(); }
+  const net::SwProfile& sw() const { return domain_.sw(); }
+  sim::Engine& engine() { return domain_.engine(); }
+
+  /// The fabric::Domain this conduit's RMA rides on. Lets the runtime
+  /// enable Domain-level features (the node-local shared-segment transport),
+  /// backs wait_until()/poke(), and lets pricing layers (the collectives
+  /// selector, caf::NodeHeap) query its state without knowing the concrete
+  /// conduit type.
+  fabric::Domain* rma_domain() { return &domain_; }
 
   /// True when the conduit's 1-D strided transfers are NIC-offloaded
   /// (Cray SHMEM over DMAPP); false when they loop in software
@@ -65,27 +78,20 @@ class Conduit {
   virtual bool native_amo() const = 0;
 
   /// True when `target`'s segment is directly load/store addressable from
-  /// the calling rank — same node and the conduit has it mapped (e.g.
-  /// shmem_ptr with the intra-node-direct optimization enabled). Layers
-  /// above (the hierarchical collectives engine) use this capability query
-  /// to replace intra-node network messages with host copies; the default
-  /// is conservative.
-  virtual bool direct_reachable(int /*target*/) { return false; }
-
-  /// The fabric::Domain this conduit's RMA rides on (never null: every
-  /// conduit has one). Lets the runtime enable Domain-level features (the
-  /// node-local shared-segment transport), backs wait_until()/poke(), and
-  /// lets pricing layers (the collectives selector, caf::NodeHeap) query its
-  /// state without knowing the concrete conduit type.
-  virtual fabric::Domain* rma_domain() = 0;
+  /// the calling rank. Layers above (the hierarchical collectives engine)
+  /// use this capability query to replace intra-node network messages with
+  /// host copies. The default is the node transport's reach; ShmemConduit
+  /// adds shmem_ptr's.
+  virtual bool direct_reachable(int target) {
+    return node_transport_reachable(target);
+  }
 
   /// True when the node-local shared-segment transport is active and
   /// `target` shares the calling rank's node: same-node RMA to it completes
   /// via memcpy/SPSC rings with zero fabric messages.
   bool node_transport_reachable(int target) {
-    fabric::Domain* d = rma_domain();
-    return d->node_transport() != nullptr &&
-           d->fabric().same_node(rank(), target);
+    return domain_.node_transport() != nullptr &&
+           domain_.fabric().same_node(rank(), target);
   }
 
   /// Collective hook invoked once per image by Runtime::init() after the
@@ -99,7 +105,7 @@ class Conduit {
   /// from the event loop rather than through a fiber's NIC path.
   void poke(int rank, std::uint64_t off, const void* src, std::size_t n,
             sim::Time t) {
-    rma_domain()->poke(rank, off, src, n, t);
+    domain_.poke(rank, off, src, n, t);
   }
 
   // ---- collective symmetric allocation ----
@@ -186,38 +192,21 @@ class Conduit {
   /// set at 13 buckets).
   static constexpr std::size_t kTrackerKeptBuckets = 16;
 
-  // ---- 64-bit remote atomics (non-virtual fronts over do_amo_* hooks) ----
-  std::int64_t amo_swap(int rank, std::uint64_t off, std::int64_t value) {
+  // ---- 64-bit remote atomics (a non-virtual front over do_amo) ----
+  /// Applies `op` to the int64 at `off` in `rank`'s segment and returns the
+  /// old value. `operand` is the swap/add/mask value; `cond` is read only by
+  /// kCompareSwap, which stores `operand` when the word equals `cond`.
+  std::int64_t amo(AmoOp op, int rank, std::uint64_t off,
+                   std::int64_t operand, std::int64_t cond = 0) {
     obs::Span sp(obs::Cat::kAmo, 8, static_cast<std::uint32_t>(rank));
-    return do_amo_swap(rank, off, value);
-  }
-  std::int64_t amo_cswap(int rank, std::uint64_t off, std::int64_t cond,
-                         std::int64_t value) {
-    obs::Span sp(obs::Cat::kAmo, 8, static_cast<std::uint32_t>(rank));
-    return do_amo_cswap(rank, off, cond, value);
-  }
-  std::int64_t amo_fadd(int rank, std::uint64_t off, std::int64_t value) {
-    obs::Span sp(obs::Cat::kAmo, 8, static_cast<std::uint32_t>(rank));
-    return do_amo_fadd(rank, off, value);
-  }
-  std::int64_t amo_fand(int rank, std::uint64_t off, std::int64_t mask) {
-    obs::Span sp(obs::Cat::kAmo, 8, static_cast<std::uint32_t>(rank));
-    return do_amo_fand(rank, off, mask);
-  }
-  std::int64_t amo_for(int rank, std::uint64_t off, std::int64_t mask) {
-    obs::Span sp(obs::Cat::kAmo, 8, static_cast<std::uint32_t>(rank));
-    return do_amo_for(rank, off, mask);
-  }
-  std::int64_t amo_fxor(int rank, std::uint64_t off, std::int64_t mask) {
-    obs::Span sp(obs::Cat::kAmo, 8, static_cast<std::uint32_t>(rank));
-    return do_amo_fxor(rank, off, mask);
+    return do_amo(op, rank, off, operand, cond);
   }
 
   // ---- synchronization ----
   /// Blocks until the 64-bit word at `off` in the *local* segment satisfies
   /// cmp/value (woken by remote deliveries; no busy polling).
   void wait_until(std::uint64_t off, Cmp cmp, std::int64_t value) {
-    rma_domain()->wait_until(off, cmp, value, "caf_wait_until");
+    domain_.wait_until(off, cmp, value, "caf_wait_until");
   }
   void barrier() {
     obs::Span sp(obs::Cat::kBarrier);
@@ -225,18 +214,38 @@ class Conduit {
   }
 
  protected:
+  explicit Conduit(fabric::Domain& domain) : domain_(domain) {}
+
   // ---- RMA hooks implemented by each conduit ----
   virtual void do_put(int rank, std::uint64_t dst_off, const void* src,
                       std::size_t n, bool nbi) = 0;
   virtual void do_get(void* dst, int rank, std::uint64_t src_off,
                       std::size_t n) = 0;
+  /// Default: a software loop, one nbi put per element (GASNet and MPI-3
+  /// have no strided call). Conduits with a strided call override.
   virtual void do_iput(int rank, std::uint64_t dst_off,
                        std::ptrdiff_t dst_stride, const void* src,
                        std::ptrdiff_t src_stride, std::size_t elem_bytes,
-                       std::size_t nelems) = 0;
+                       std::size_t nelems) {
+    const auto* s = static_cast<const std::byte*>(src);
+    const auto e = static_cast<std::ptrdiff_t>(elem_bytes);
+    for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(nelems); ++i) {
+      do_put(rank, dst_off + static_cast<std::uint64_t>(i * dst_stride * e),
+             s + i * src_stride * e, elem_bytes, /*nbi=*/true);
+    }
+  }
+  /// Default: a software loop, one blocking get per element.
   virtual void do_iget(void* dst, std::ptrdiff_t dst_stride, int rank,
                        std::uint64_t src_off, std::ptrdiff_t src_stride,
-                       std::size_t elem_bytes, std::size_t nelems) = 0;
+                       std::size_t elem_bytes, std::size_t nelems) {
+    auto* d = static_cast<std::byte*>(dst);
+    const auto e = static_cast<std::ptrdiff_t>(elem_bytes);
+    for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(nelems); ++i) {
+      do_get(d + i * dst_stride * e, rank,
+             src_off + static_cast<std::uint64_t>(i * src_stride * e),
+             elem_bytes);
+    }
+  }
   /// Default: record-at-a-time nbi puts (no wire-level combining). Conduits
   /// with a vectored native call (shmemx scatter, GASNet access regions,
   /// ARMCI_PutV, MPI datatypes) override for one-message delivery.
@@ -253,18 +262,8 @@ class Conduit {
   virtual void do_quiet() = 0;
 
   // ---- atomic / barrier hooks implemented by each conduit ----
-  virtual std::int64_t do_amo_swap(int rank, std::uint64_t off,
-                                   std::int64_t value) = 0;
-  virtual std::int64_t do_amo_cswap(int rank, std::uint64_t off,
-                                    std::int64_t cond, std::int64_t value) = 0;
-  virtual std::int64_t do_amo_fadd(int rank, std::uint64_t off,
-                                   std::int64_t value) = 0;
-  virtual std::int64_t do_amo_fand(int rank, std::uint64_t off,
-                                   std::int64_t mask) = 0;
-  virtual std::int64_t do_amo_for(int rank, std::uint64_t off,
-                                  std::int64_t mask) = 0;
-  virtual std::int64_t do_amo_fxor(int rank, std::uint64_t off,
-                                   std::int64_t mask) = 0;
+  virtual std::int64_t do_amo(AmoOp op, int rank, std::uint64_t off,
+                              std::int64_t operand, std::int64_t cond) = 0;
   virtual void do_barrier() = 0;
   /// The replay log behind allocate()/deallocate().
   virtual const shmem::CollectiveAllocLog& alloc_log() const = 0;
@@ -306,6 +305,7 @@ class Conduit {
     return t;
   }
 
+  fabric::Domain& domain_;
   std::vector<Tracker> trk_;
 };
 

@@ -5,8 +5,8 @@
 namespace caf {
 
 GasnetConduit::GasnetConduit(gasnet::World& world)
-    : world_(world),
-      seg_bytes_(world.seg_bytes()),
+    : Conduit(world.domain()),
+      world_(world),
       // User allocations start past the barrier flags.
       heap_(world.nodes(), fabric::kBarrierBytes,
             world.seg_bytes() - fabric::kBarrierBytes) {
@@ -15,43 +15,29 @@ GasnetConduit::GasnetConduit(gasnet::World& world)
   // fetched value. poke() wakes the waiters spinning on the word.
   amo_handler_ = world_.register_handler(
       [this](const gasnet::Token& tok, std::span<const std::byte> payload,
-             std::uint64_t off, std::uint64_t packed_kind) -> std::uint64_t {
-        const auto kind = static_cast<AmoKind>(packed_kind);
-        // payload = [operand, cond] as int64s; target = token destination,
-        // which is the node the handler runs on. We recover it from the
-        // payload's trailing rank field.
-        std::int64_t operand = 0, cond = 0;
+             std::uint64_t off, std::uint64_t op) -> std::uint64_t {
+        // payload = [operand, cond, target] as int64s: the handler recovers
+        // the node it runs on from the trailing rank field.
+        std::uint64_t operand = 0, cond = 0;
         std::int64_t target = 0;
         std::memcpy(&operand, payload.data(), 8);
         std::memcpy(&cond, payload.data() + 8, 8);
         std::memcpy(&target, payload.data() + 16, 8);
-        std::int64_t old = 0;
-        std::memcpy(&old, world_.seg(static_cast<int>(target)) + off, 8);
-        std::int64_t neu = old;
-        bool store = true;
-        switch (kind) {
-          case kSwap: neu = operand; break;
-          case kCswap:
-            if (old == cond) neu = operand; else store = false;
-            break;
-          case kAdd: neu = old + operand; break;
-          case kAnd: neu = old & operand; break;
-          case kOr: neu = old | operand; break;
-          case kXor: neu = old ^ operand; break;
+        std::uint64_t old = 0;
+        std::memcpy(&old, segment(static_cast<int>(target)) + off, 8);
+        if (const auto neu = fabric::apply_amo(static_cast<AmoOp>(op), old,
+                                               operand, cond)) {
+          poke(static_cast<int>(target), off, &*neu, 8, tok.when);
         }
-        if (store) {
-          world_.domain().poke(static_cast<int>(target), off, &neu, 8,
-                               tok.when);
-        }
-        return static_cast<std::uint64_t>(old);
+        return old;
       });
 }
 
-std::int64_t GasnetConduit::am_amo(AmoKind kind, int rank, std::uint64_t off,
+std::int64_t GasnetConduit::do_amo(AmoOp op, int rank, std::uint64_t off,
                                    std::int64_t operand, std::int64_t cond) {
   std::int64_t payload[3] = {operand, cond, rank};
   return static_cast<std::int64_t>(world_.am_request_reply(
-      rank, amo_handler_, off, static_cast<std::uint64_t>(kind), payload,
+      rank, amo_handler_, off, static_cast<std::uint64_t>(op), payload,
       sizeof payload));
 }
 
@@ -65,36 +51,6 @@ std::uint64_t GasnetConduit::allocate(std::size_t bytes) {
 void GasnetConduit::deallocate(std::uint64_t offset) {
   heap_.release(world_.mynode(), offset, "GasnetConduit::deallocate");
   world_.barrier();
-}
-
-void GasnetConduit::do_iput(int rank, std::uint64_t dst_off,
-                         std::ptrdiff_t dst_stride, const void* src,
-                         std::ptrdiff_t src_stride, std::size_t elem_bytes,
-                         std::size_t nelems) {
-  // Software loop of nbi puts (GASNet has no strided API).
-  const auto* s = static_cast<const std::byte*>(src);
-  for (std::size_t i = 0; i < nelems; ++i) {
-    world_.put_nbi(rank,
-                   dst_off + i * static_cast<std::uint64_t>(dst_stride) *
-                                 elem_bytes,
-                   s + static_cast<std::ptrdiff_t>(i) * src_stride *
-                           static_cast<std::ptrdiff_t>(elem_bytes),
-                   elem_bytes);
-  }
-}
-
-void GasnetConduit::do_iget(void* dst, std::ptrdiff_t dst_stride, int rank,
-                         std::uint64_t src_off, std::ptrdiff_t src_stride,
-                         std::size_t elem_bytes, std::size_t nelems) {
-  auto* d = static_cast<std::byte*>(dst);
-  for (std::size_t i = 0; i < nelems; ++i) {
-    world_.get(d + static_cast<std::ptrdiff_t>(i) * dst_stride *
-                       static_cast<std::ptrdiff_t>(elem_bytes),
-               rank,
-               src_off + i * static_cast<std::uint64_t>(src_stride) *
-                             elem_bytes,
-               elem_bytes);
-  }
 }
 
 }  // namespace caf

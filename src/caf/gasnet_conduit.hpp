@@ -3,8 +3,8 @@
 // GASNet provides one-sided put/get and active messages but no remote
 // atomics and no strided transfers, so:
 //
-//   * 1-D strided transfers loop contiguous nbi puts / blocking gets in
-//     software;
+//   * 1-D strided transfers are the Conduit base's software loop of
+//     contiguous nbi puts / blocking gets;
 //   * remote atomics are emulated with AM round-trips whose handler
 //     executes the read-modify-write on the target CPU (serializing there —
 //     the contention behaviour that makes Figure 8's GASNet locks slower);
@@ -22,45 +22,13 @@ class GasnetConduit final : public Conduit {
  public:
   explicit GasnetConduit(gasnet::World& world);
 
-  int rank() const override { return world_.mynode(); }
-  int nranks() const override { return world_.nodes(); }
-  std::byte* segment(int rank) override { return world_.seg(rank); }
-  std::size_t segment_bytes() const override { return seg_bytes_; }
-  const net::SwProfile& sw() const override { return world_.domain().sw(); }
-  sim::Engine& engine() override { return world_.engine(); }
   bool hw_strided() const override { return false; }
   bool native_amo() const override { return false; }
 
   std::uint64_t allocate(std::size_t bytes) override;
   void deallocate(std::uint64_t offset) override;
 
-  std::int64_t do_amo_swap(int rank, std::uint64_t off, std::int64_t v) override {
-    return am_amo(kSwap, rank, off, v, 0);
-  }
-  std::int64_t do_amo_cswap(int rank, std::uint64_t off, std::int64_t cond,
-                         std::int64_t v) override {
-    return am_amo(kCswap, rank, off, v, cond);
-  }
-  std::int64_t do_amo_fadd(int rank, std::uint64_t off, std::int64_t v) override {
-    return am_amo(kAdd, rank, off, v, 0);
-  }
-  std::int64_t do_amo_fand(int rank, std::uint64_t off, std::int64_t m) override {
-    return am_amo(kAnd, rank, off, m, 0);
-  }
-  std::int64_t do_amo_for(int rank, std::uint64_t off, std::int64_t m) override {
-    return am_amo(kOr, rank, off, m, 0);
-  }
-  std::int64_t do_amo_fxor(int rank, std::uint64_t off, std::int64_t m) override {
-    return am_amo(kXor, rank, off, m, 0);
-  }
-
   void do_barrier() override { world_.barrier(); }
-
-  bool direct_reachable(int target) override {
-    return node_transport_reachable(target);
-  }
-
-  fabric::Domain* rma_domain() override { return &world_.domain(); }
 
   gasnet::World& world() { return world_; }
 
@@ -85,27 +53,19 @@ class GasnetConduit final : public Conduit {
               std::size_t n) override {
     world_.get(dst, rank, src_off, n);
   }
-  void do_iput(int rank, std::uint64_t dst_off, std::ptrdiff_t dst_stride,
-               const void* src, std::ptrdiff_t src_stride,
-               std::size_t elem_bytes, std::size_t nelems) override;
-  void do_iget(void* dst, std::ptrdiff_t dst_stride, int rank,
-               std::uint64_t src_off, std::ptrdiff_t src_stride,
-               std::size_t elem_bytes, std::size_t nelems) override;
   void do_put_scatter(int rank, const fabric::ScatterRec* recs,
                       std::size_t nrecs, const void* payload,
                       std::size_t payload_bytes) override {
     world_.put_scatter_nbi(rank, recs, nrecs, payload, payload_bytes);
   }
   void do_quiet() override { world_.wait_syncnbi_puts(); }
+  /// An AM round trip whose handler runs the read-modify-write on the
+  /// target CPU.
+  std::int64_t do_amo(AmoOp op, int rank, std::uint64_t off,
+                      std::int64_t operand, std::int64_t cond) override;
 
  private:
-  enum AmoKind : std::uint64_t { kSwap, kCswap, kAdd, kAnd, kOr, kXor };
-
-  std::int64_t am_amo(AmoKind kind, int rank, std::uint64_t off,
-                      std::int64_t operand, std::int64_t cond);
-
   gasnet::World& world_;
-  std::size_t seg_bytes_;
   int amo_handler_ = -1;
 
   // Collective-allocation replay log (same discipline as shmalloc).

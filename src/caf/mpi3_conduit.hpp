@@ -8,9 +8,10 @@
 //   put/get  → MPI_Put / MPI_Get (+ MPI_Win_flush_all for quiet);
 //   atomics  → MPI_Fetch_and_op / MPI_Compare_and_swap (MPI-3 has the full
 //              set natively, unlike GASNet or ARMCI);
-//   1-D strided → software loop of MPI_Put/Get (a real implementation would
-//              use datatypes; the per-op software overhead — the very thing
-//              Figure 2 charges MPI for — dominates either way);
+//   1-D strided → the Conduit base's software loop of MPI_Put/Get (a real
+//              implementation would use datatypes; the per-op software
+//              overhead — the very thing Figure 2 charges MPI for —
+//              dominates either way);
 //   barrier  → MPI_Barrier.
 #pragma once
 
@@ -22,14 +23,8 @@ namespace caf {
 class Mpi3Conduit final : public Conduit {
  public:
   explicit Mpi3Conduit(mpi3::Window& win)
-      : win_(win), seg_bytes_(win.domain().segment_bytes()) {}
+      : Conduit(win.domain()), win_(win) {}
 
-  int rank() const override { return win_.rank(); }
-  int nranks() const override { return win_.size(); }
-  std::byte* segment(int rank) override { return win_.base(rank); }
-  std::size_t segment_bytes() const override { return seg_bytes_; }
-  const net::SwProfile& sw() const override { return win_.domain().sw(); }
-  sim::Engine& engine() override { return win_.engine(); }
   bool hw_strided() const override { return false; }
   bool native_amo() const override { return true; }
 
@@ -38,32 +33,6 @@ class Mpi3Conduit final : public Conduit {
   }
   void deallocate(std::uint64_t offset) override {
     win_.free_collective(offset);
-  }
-
-  bool direct_reachable(int target) override {
-    return node_transport_reachable(target);
-  }
-
-  fabric::Domain* rma_domain() override { return &win_.domain(); }
-
-  std::int64_t do_amo_swap(int rank, std::uint64_t off, std::int64_t v) override {
-    return win_.fetch_and_op_replace(v, rank, off);
-  }
-  std::int64_t do_amo_cswap(int rank, std::uint64_t off, std::int64_t cond,
-                         std::int64_t v) override {
-    return win_.compare_and_swap(cond, v, rank, off);
-  }
-  std::int64_t do_amo_fadd(int rank, std::uint64_t off, std::int64_t v) override {
-    return win_.fetch_and_op_sum(v, rank, off);
-  }
-  std::int64_t do_amo_fand(int rank, std::uint64_t off, std::int64_t m) override {
-    return win_.fetch_and_op_band(m, rank, off);
-  }
-  std::int64_t do_amo_for(int rank, std::uint64_t off, std::int64_t m) override {
-    return win_.fetch_and_op_bor(m, rank, off);
-  }
-  std::int64_t do_amo_fxor(int rank, std::uint64_t off, std::int64_t m) override {
-    return win_.fetch_and_op_bxor(m, rank, off);
   }
 
   void do_barrier() override { win_.barrier(); }
@@ -85,40 +54,22 @@ class Mpi3Conduit final : public Conduit {
               std::size_t n) override {
     win_.get(dst, n, rank, src_off);
   }
-  void do_iput(int rank, std::uint64_t dst_off, std::ptrdiff_t dst_stride,
-               const void* src, std::ptrdiff_t src_stride,
-               std::size_t elem_bytes, std::size_t nelems) override {
-    const auto* s = static_cast<const std::byte*>(src);
-    for (std::size_t i = 0; i < nelems; ++i) {
-      win_.put(s + static_cast<std::ptrdiff_t>(i) * src_stride *
-                       static_cast<std::ptrdiff_t>(elem_bytes),
-               elem_bytes, rank,
-               dst_off + i * static_cast<std::uint64_t>(dst_stride) *
-                             elem_bytes);
-    }
-  }
-  void do_iget(void* dst, std::ptrdiff_t dst_stride, int rank,
-               std::uint64_t src_off, std::ptrdiff_t src_stride,
-               std::size_t elem_bytes, std::size_t nelems) override {
-    auto* d = static_cast<std::byte*>(dst);
-    for (std::size_t i = 0; i < nelems; ++i) {
-      win_.get(d + static_cast<std::ptrdiff_t>(i) * dst_stride *
-                       static_cast<std::ptrdiff_t>(elem_bytes),
-               elem_bytes, rank,
-               src_off + i * static_cast<std::uint64_t>(src_stride) *
-                             elem_bytes);
-    }
-  }
   void do_put_scatter(int rank, const fabric::ScatterRec* recs,
                       std::size_t nrecs, const void* payload,
                       std::size_t payload_bytes) override {
     win_.put_scatter(recs, nrecs, payload, payload_bytes, rank);
   }
   void do_quiet() override { win_.flush_all(); }
+  std::int64_t do_amo(AmoOp op, int rank, std::uint64_t off,
+                      std::int64_t operand, std::int64_t cond) override {
+    if (op == AmoOp::kCompareSwap) {
+      return win_.compare_and_swap(cond, operand, rank, off);
+    }
+    return win_.fetch_and_op(op, operand, rank, off);
+  }
 
  private:
   mpi3::Window& win_;
-  std::size_t seg_bytes_;
 };
 
 }  // namespace caf

@@ -310,7 +310,7 @@ void RpcEngine::mailbox_send(int me, int target0,
   st.sent[static_cast<std::size_t>(target0)] = seq;
   sim::Engine& eng = conduit_.engine();
   if (conduit_.native_amo()) {
-    (void)conduit_.amo_fadd(target0, bell_off_, 1);
+    (void)conduit_.amo(AmoOp::kFetchAdd, target0, bell_off_, 1);
     // The fetch-add has returned, so the bump has landed at the target. A
     // target parked at a progress point cannot poll — drain it from the
     // event loop (this is the "no progress thread" substitute: the signal

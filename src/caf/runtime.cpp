@@ -210,10 +210,10 @@ void Runtime::sync_images(std::span<const int> images) {
     ++st.sync_sent[partner];
     // Tell `partner` that I reached a sync point with it: bump my slot in
     // its counter array.
-    (void)conduit_.amo_fadd(partner,
-                            sync_ctrs_off_ + static_cast<std::uint64_t>(me()) *
-                                                 sizeof(std::int64_t),
-                            1);
+    (void)conduit_.amo(AmoOp::kFetchAdd, partner,
+                       sync_ctrs_off_ + static_cast<std::uint64_t>(me()) *
+                                            sizeof(std::int64_t),
+                       1);
   }
   RpcParkGuard park(rpc_engine_.get(), me());
   for (int image : images) {
@@ -257,11 +257,10 @@ int Runtime::sync_images_stat(std::span<const int> images) {
       continue;
     }
     try {
-      (void)conduit_.amo_fadd(
-          partner,
-          sync_ctrs_off_ + static_cast<std::uint64_t>(me()) *
-                               sizeof(std::int64_t),
-          1);
+      (void)conduit_.amo(AmoOp::kFetchAdd, partner,
+                         sync_ctrs_off_ + static_cast<std::uint64_t>(me()) *
+                                              sizeof(std::int64_t),
+                         1);
     } catch (const fabric::PeerFailedError&) {
       any_failed = true;
     }
@@ -310,10 +309,10 @@ bool Runtime::sync_test(int image) {
     // This is a bounded round trip (the amo acks), not an unbounded wait.
     rma_fence();
     ++st.sync_sent[partner];
-    (void)conduit_.amo_fadd(partner,
-                            sync_ctrs_off_ + static_cast<std::uint64_t>(me()) *
-                                                 sizeof(std::int64_t),
-                            1);
+    (void)conduit_.amo(AmoOp::kFetchAdd, partner,
+                       sync_ctrs_off_ + static_cast<std::uint64_t>(me()) *
+                                            sizeof(std::int64_t),
+                       1);
     pending = true;
   }
   // Every probe (including the first) is then a single local read of the
@@ -404,11 +403,10 @@ int Runtime::sync_all_stat() {
   for (int r = 0; r < n; ++r) {
     if (r == self || eng.pe_declared(r)) continue;
     try {
-      (void)conduit_.amo_fadd(r,
-                              syncall_ctrs_off_ +
-                                  static_cast<std::uint64_t>(self) *
-                                      sizeof(std::int64_t),
-                              1);
+      (void)conduit_.amo(AmoOp::kFetchAdd, r,
+                         syncall_ctrs_off_ + static_cast<std::uint64_t>(self) *
+                                                 sizeof(std::int64_t),
+                         1);
     } catch (const fabric::PeerFailedError&) {
       // Raced with the failure; the sentinel covers everyone's waits.
     }
@@ -744,7 +742,7 @@ void Runtime::lock(CoLock lck, int image) {
   const auto packed = static_cast<std::int64_t>(qn.bits());
   // Atomically splice myself onto the tail of the queue at image `image`.
   const std::int64_t pred_bits =
-      conduit_.amo_swap(image - 1, lck.tail_off, packed);
+      conduit_.amo(AmoOp::kSwap, image - 1, lck.tail_off, packed);
   const RemotePtr pred = RemotePtr::from_bits(
       static_cast<std::uint64_t>(pred_bits));
   if (pred) {
@@ -785,7 +783,7 @@ int Runtime::mcs_lock(CoLock lck, int image, bool* reclaimed) {
     const std::int64_t rec[2] = {packed, kPendingPred};
     conduit_.put(home, my_rec, rec, sizeof rec, /*nbi=*/true);
     conduit_.quiet();
-    pred_bits = conduit_.amo_swap(home, L + kTailWord, packed);
+    pred_bits = conduit_.amo(AmoOp::kSwap, home, L + kTailWord, packed);
     // The pred-record update rides nbi; its flush merges with the next
     // phase's (holder word or predecessor link) single quiet.
     conduit_.put(home, my_rec + sizeof(std::int64_t), &pred_bits,
@@ -936,7 +934,7 @@ bool Runtime::try_lock(CoLock lck, int image) {
   std::memcpy(q + kNextField, &null, sizeof null);
   const auto packed = static_cast<std::int64_t>(qn.bits());
   const std::int64_t prev =
-      conduit_.amo_cswap(image - 1, lck.tail_off, 0, packed);
+      conduit_.amo(AmoOp::kCompareSwap, image - 1, lck.tail_off, packed, 0);
   if (prev != 0) {
     nonsym_free(qn);
     return false;
@@ -961,7 +959,8 @@ bool Runtime::mcs_try_lock(CoLock lck, int image) {
   std::memcpy(q + kNextField, &null, sizeof null);
   const auto packed = static_cast<std::int64_t>(qn.bits());
   try {
-    if (conduit_.amo_cswap(home, L + kTailWord, 0, packed) != 0) {
+    if (conduit_.amo(AmoOp::kCompareSwap, home, L + kTailWord, packed, 0) !=
+        0) {
       nonsym_free(qn);  // never published anywhere — safe to reuse at once
       return false;
     }
@@ -1007,7 +1006,8 @@ int Runtime::mcs_unlock(CoLock lck, int image) {
                      static_cast<std::uint64_t>(me()) * kRecordBytes,
                  zero2, sizeof zero2, /*nbi=*/true);
     conduit_.quiet();  // retire must be visible before the tail CAS
-    if (conduit_.amo_cswap(home, L + kTailWord, packed, 0) == packed) {
+    if (conduit_.amo(AmoOp::kCompareSwap, home, L + kTailWord, 0, packed) ==
+        packed) {
       quarantine_qnode(qn);
       return kStatOk;
     }
@@ -1137,7 +1137,7 @@ int Runtime::repair_mutex_acquire(int home, CoLock lck) {
     if (eng.pe_declared(home)) return kStatFailedImage;
     std::int64_t cur = 0;
     try {
-      cur = conduit_.amo_cswap(home, mtx, 0, mine);
+      cur = conduit_.amo(AmoOp::kCompareSwap, home, mtx, mine, 0);
     } catch (const fabric::PeerFailedError&) {
       return kStatFailedImage;
     }
@@ -1146,7 +1146,9 @@ int Runtime::repair_mutex_acquire(int home, CoLock lck) {
       // The previous repairer died holding the mutex: steal it. The CAS
       // makes the steal race-free among surviving contenders.
       try {
-        if (conduit_.amo_cswap(home, mtx, cur, mine) == cur) return kStatOk;
+        if (conduit_.amo(AmoOp::kCompareSwap, home, mtx, mine, cur) == cur) {
+          return kStatOk;
+        }
       } catch (const fabric::PeerFailedError&) {
         return kStatFailedImage;
       }
@@ -1158,7 +1160,8 @@ int Runtime::repair_mutex_acquire(int home, CoLock lck) {
 
 void Runtime::repair_mutex_release(int home, CoLock lck) {
   try {
-    (void)conduit_.amo_cswap(home, lck.tail_off + kRepairWord, me() + 1, 0);
+    (void)conduit_.amo(AmoOp::kCompareSwap, home, lck.tail_off + kRepairWord,
+                       0, me() + 1);
   } catch (const fabric::PeerFailedError&) {
     // Home died; the mutex died with it.
   }
@@ -1342,11 +1345,11 @@ Runtime::RebuildResult Runtime::mcs_rebuild(CoLock lck, int image) {
         // order may be a strict prefix of the real queue, and swinging the
         // tail onto its last member would route new arrivals into next
         // fields the stranded suffix already owns.
-        (void)conduit_.amo_cswap(home, L + kTailWord, tail_bits,
-                                 order.back()->qnode);
+        (void)conduit_.amo(AmoOp::kCompareSwap, home, L + kTailWord,
+                           order.back()->qnode, tail_bits);
       } else if (order.empty() && !live_pending) {
-        if (conduit_.amo_cswap(home, L + kTailWord, tail_bits, 0) ==
-            tail_bits) {
+        if (conduit_.amo(AmoOp::kCompareSwap, home, L + kTailWord, 0,
+                         tail_bits) == tail_bits) {
           out.queue_empty = true;
         }
       }
@@ -1381,7 +1384,8 @@ void Runtime::unlock(CoLock lck, int image) {
   st.held.erase(it);
   const auto packed = static_cast<std::int64_t>(qn.bits());
   // If I am still the tail, swing it back to nil and we are done.
-  if (conduit_.amo_cswap(image - 1, lck.tail_off, packed, 0) == packed) {
+  if (conduit_.amo(AmoOp::kCompareSwap, image - 1, lck.tail_off, 0, packed) ==
+      packed) {
     nonsym_free(qn);
     return;
   }
@@ -1419,7 +1423,7 @@ CoEvent Runtime::make_event() {
 void Runtime::event_post(CoEvent ev, int image) {
   require_init();
   rma_fence();  // posted work must be visible before the count bumps
-  (void)conduit_.amo_fadd(image - 1, ev.count_off, 1);
+  (void)conduit_.amo(AmoOp::kFetchAdd, image - 1, ev.count_off, 1);
 }
 
 void Runtime::event_wait(CoEvent ev, std::int64_t until_count) {
@@ -1544,10 +1548,10 @@ int Runtime::team_sync(const Team& team) {
       continue;
     }
     try {
-      (void)conduit_.amo_fadd(p,
-                              team_ctrs_off_ + static_cast<std::uint64_t>(me()) *
-                                                   sizeof(std::int64_t),
-                              1);
+      (void)conduit_.amo(AmoOp::kFetchAdd, p,
+                         team_ctrs_off_ + static_cast<std::uint64_t>(me()) *
+                                              sizeof(std::int64_t),
+                         1);
     } catch (const fabric::PeerFailedError&) {
       any_failed = true;
     }

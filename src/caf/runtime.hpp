@@ -403,36 +403,36 @@ class Runtime {
   // aggregation chunk is empty and the quiet is tracker-elided.
   std::int64_t atomic_fetch_add(int image, std::uint64_t off, std::int64_t v) {
     atomic_boundary();
-    return conduit_.amo_fadd(image - 1, off, v);
+    return conduit_.amo(AmoOp::kFetchAdd, image - 1, off, v);
   }
   std::int64_t atomic_cas(int image, std::uint64_t off, std::int64_t cond,
                           std::int64_t val) {
     atomic_boundary();
-    return conduit_.amo_cswap(image - 1, off, cond, val);
+    return conduit_.amo(AmoOp::kCompareSwap, image - 1, off, val, cond);
   }
   std::int64_t atomic_swap(int image, std::uint64_t off, std::int64_t v) {
     atomic_boundary();
-    return conduit_.amo_swap(image - 1, off, v);
+    return conduit_.amo(AmoOp::kSwap, image - 1, off, v);
   }
   std::int64_t atomic_fetch_and(int image, std::uint64_t off, std::int64_t m) {
     atomic_boundary();
-    return conduit_.amo_fand(image - 1, off, m);
+    return conduit_.amo(AmoOp::kFetchAnd, image - 1, off, m);
   }
   std::int64_t atomic_fetch_or(int image, std::uint64_t off, std::int64_t m) {
     atomic_boundary();
-    return conduit_.amo_for(image - 1, off, m);
+    return conduit_.amo(AmoOp::kFetchOr, image - 1, off, m);
   }
   std::int64_t atomic_fetch_xor(int image, std::uint64_t off, std::int64_t m) {
     atomic_boundary();
-    return conduit_.amo_fxor(image - 1, off, m);
+    return conduit_.amo(AmoOp::kFetchXor, image - 1, off, m);
   }
   void atomic_define(int image, std::uint64_t off, std::int64_t v) {
     atomic_boundary();
-    (void)conduit_.amo_swap(image - 1, off, v);
+    (void)conduit_.amo(AmoOp::kSwap, image - 1, off, v);
   }
   std::int64_t atomic_ref(int image, std::uint64_t off) {
     atomic_boundary();
-    return conduit_.amo_fadd(image - 1, off, 0);
+    return conduit_.amo(AmoOp::kFetchAdd, image - 1, off, 0);
   }
 
   // ---- collectives (co_broadcast / co_sum / co_min / co_max) ----

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -26,7 +27,7 @@ namespace caf {
 class ShmemConduit final : public Conduit {
  public:
   explicit ShmemConduit(shmem::World& world)
-      : world_(world), seg_bytes_(world.domain().segment_bytes()) {}
+      : Conduit(world.domain()), world_(world) {}
 
   /// Enables the §VII future-work optimization: co-indexed accesses to
   /// images on the caller's node go through shmem_ptr as direct load/store
@@ -35,12 +36,6 @@ class ShmemConduit final : public Conduit {
   void set_intra_node_direct(bool on) { intra_node_direct_ = on; }
   bool intra_node_direct() const { return intra_node_direct_; }
 
-  int rank() const override { return world_.my_pe(); }
-  int nranks() const override { return world_.n_pes(); }
-  std::byte* segment(int rank) override { return world_.domain().segment(rank); }
-  std::size_t segment_bytes() const override { return seg_bytes_; }
-  const net::SwProfile& sw() const override { return world_.sw(); }
-  sim::Engine& engine() override { return world_.engine(); }
   bool hw_strided() const override { return world_.sw().hw_strided; }
   bool native_amo() const override { return world_.sw().nic_amo; }
 
@@ -52,34 +47,12 @@ class ShmemConduit final : public Conduit {
     world_.shfree(local_addr(offset));
   }
 
-  std::int64_t do_amo_swap(int rank, std::uint64_t off, std::int64_t v) override {
-    return world_.swap(i64_addr(off), v, rank);
-  }
-  std::int64_t do_amo_cswap(int rank, std::uint64_t off, std::int64_t cond,
-                         std::int64_t v) override {
-    return world_.cswap(i64_addr(off), cond, v, rank);
-  }
-  std::int64_t do_amo_fadd(int rank, std::uint64_t off, std::int64_t v) override {
-    return world_.fadd(i64_addr(off), v, rank);
-  }
-  std::int64_t do_amo_fand(int rank, std::uint64_t off, std::int64_t m) override {
-    return world_.fetch_and(i64_addr(off), m, rank);
-  }
-  std::int64_t do_amo_for(int rank, std::uint64_t off, std::int64_t m) override {
-    return world_.fetch_or(i64_addr(off), m, rank);
-  }
-  std::int64_t do_amo_fxor(int rank, std::uint64_t off, std::int64_t m) override {
-    return world_.fetch_xor(i64_addr(off), m, rank);
-  }
-
   void do_barrier() override { world_.barrier_all(); }
 
   bool direct_reachable(int target) override {
     return (intra_node_direct_ && world_.ptr(local_addr(0), target) != nullptr) ||
            node_transport_reachable(target);
   }
-
-  fabric::Domain* rma_domain() override { return &world_.domain(); }
 
   shmem::World& world() { return world_; }
 
@@ -184,6 +157,14 @@ class ShmemConduit final : public Conduit {
     world_.putmem_scatter_nbi(rank, recs, nrecs, payload, payload_bytes);
   }
   void do_quiet() override { world_.quiet(); }
+  std::int64_t do_amo(AmoOp op, int rank, std::uint64_t off,
+                      std::int64_t operand, std::int64_t cond) override {
+    if (op == AmoOp::kCompareSwap) {
+      return world_.cswap(i64_addr(off), cond, operand, rank);
+    }
+    return (world_.*kFetchOps[static_cast<int>(op)])(i64_addr(off), operand,
+                                                     rank);
+  }
 
  private:
   std::byte* local_addr(std::uint64_t off) {
@@ -192,6 +173,21 @@ class ShmemConduit final : public Conduit {
   std::int64_t* i64_addr(std::uint64_t off) {
     return reinterpret_cast<std::int64_t*>(local_addr(off));
   }
+
+  /// Table II's atomics row: the OpenSHMEM routine for each AmoOp but
+  /// kCompareSwap (shmem_cswap, which also takes the condition).
+  using FetchOp = std::int64_t (shmem::World::*)(std::int64_t*, std::int64_t,
+                                                 int);
+  static constexpr FetchOp kFetchOps[] = {
+      &shmem::World::swap,      // kSwap
+      nullptr,                  // kCompareSwap: shmem_cswap
+      &shmem::World::fadd,      // kFetchAdd
+      &shmem::World::fetch_and, // kFetchAnd
+      &shmem::World::fetch_or,  // kFetchOr
+      &shmem::World::fetch_xor, // kFetchXor
+  };
+  static_assert(std::size(kFetchOps) ==
+                static_cast<std::size_t>(AmoOp::kFetchXor) + 1);
 
   /// Per-element issue cost of a direct strided/scatter store stream (the
   /// loop-carried address arithmetic; no NIC, no library call).
@@ -256,7 +252,6 @@ class ShmemConduit final : public Conduit {
   }
 
   shmem::World& world_;
-  std::size_t seg_bytes_;
   bool intra_node_direct_ = false;
   std::vector<DirectCounters> direct_tele_;
 };

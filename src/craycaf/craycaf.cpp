@@ -36,11 +36,7 @@ void Runtime::launch(std::function<void()> image_main) {
   for (int pe = 0; pe < ctx_->npes(); ++pe) engine_.spawn(pe, image_main);
 }
 
-int Runtime::me() const {
-  sim::Fiber* f = engine_.current_fiber();
-  assert(f != nullptr);
-  return f->pe();
-}
+int Runtime::me() const { return ctx_->domain().current_pe(); }
 
 int Runtime::this_image() const { return me() + 1; }
 

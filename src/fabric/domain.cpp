@@ -79,12 +79,6 @@ const std::byte* Domain::segment(int pe) const {
   return segments_[pe].data();
 }
 
-int Domain::current_pe() const {
-  sim::Fiber* f = engine_.current_fiber();
-  assert(f != nullptr && "fabric operations require a PE fiber context");
-  return f->pe();
-}
-
 void Domain::note_outstanding(int src_pe, sim::Time t) {
   outstanding_[src_pe] = std::max(outstanding_[src_pe], t);
 }
@@ -676,34 +670,35 @@ std::uint64_t Domain::amo(AmoOp op, int dst_pe, std::uint64_t dst_off,
   note_outstanding(me, rt.target_read);
   sim::Fiber* f = engine_.current_fiber();
   f->set_block_op("amo", dst_pe);
-  auto fetched = std::make_shared<std::uint64_t>(0);
-  engine_.schedule(rt.target_read, [this, op, dst_pe, dst_off, operand, cond,
-                                    fetched, t = rt.target_read] {
-    std::uint64_t old = 0;
-    std::byte* addr = segments_[dst_pe].data() + dst_off;
-    std::memcpy(&old, addr, sizeof old);
-    *fetched = old;
-    std::uint64_t neu = old;
-    bool store = true;
-    switch (op) {
-      case AmoOp::kSwap: neu = operand; break;
-      case AmoOp::kCompareSwap:
-        if (old == cond) neu = operand; else store = false;
-        break;
-      case AmoOp::kFetchAdd: neu = old + operand; break;
-      case AmoOp::kFetchAnd: neu = old & operand; break;
-      case AmoOp::kFetchOr: neu = old | operand; break;
-      case AmoOp::kFetchXor: neu = old ^ operand; break;
-    }
-    if (store) {
-      std::memcpy(addr, &neu, sizeof neu);
-      wake(dst_pe, dst_off, sizeof neu, t);
-    }
-  });
-  engine_.schedule(rt.complete,
-                   [this, f, t = rt.complete] { engine_.resume(*f, t); });
+  // Sized on the first AMO: a run without atomics keeps no slots.
+  if (amo_.empty()) amo_.resize(static_cast<std::size_t>(npes()));
+  amo_[me] = AmoSlot{op, dst_pe, dst_off, operand, cond, 0, f};
+  // The read-modify-write runs at the target when the request is serviced;
+  // the fetched value reaches the blocked issuer at reply time.
+  engine_.schedule_raw(rt.target_read, &amo_rmw, this,
+                       static_cast<std::uint64_t>(me),
+                       static_cast<std::uint64_t>(rt.target_read));
+  engine_.schedule_raw(rt.complete, &amo_reply, this,
+                       static_cast<std::uint64_t>(me),
+                       static_cast<std::uint64_t>(rt.complete));
   engine_.block();
-  return *fetched;
+  return amo_[me].fetched;
+}
+
+void Domain::amo_rmw(void* ctx, std::uint64_t pe, std::uint64_t t) {
+  auto& d = *static_cast<Domain*>(ctx);
+  AmoSlot& a = d.amo_[pe];
+  std::byte* addr = d.segments_[a.dst_pe].data() + a.dst_off;
+  std::memcpy(&a.fetched, addr, sizeof a.fetched);
+  if (const auto neu = apply_amo(a.op, a.fetched, a.operand, a.cond)) {
+    std::memcpy(addr, &*neu, sizeof *neu);
+    d.wake(a.dst_pe, a.dst_off, sizeof *neu, static_cast<sim::Time>(t));
+  }
+}
+
+void Domain::amo_reply(void* ctx, std::uint64_t pe, std::uint64_t t) {
+  auto& d = *static_cast<Domain*>(ctx);
+  d.engine_.resume(*d.amo_[pe].fiber, static_cast<sim::Time>(t));
 }
 
 void Domain::quiet() {

@@ -31,9 +31,11 @@
 // and capability surfaces.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -80,6 +82,27 @@ enum class AmoOp {
   kFetchOr,
   kFetchXor,
 };
+
+/// The value an AMO stores over `old`: `operand` for kSwap, `old op operand`
+/// for the fetch-and-ops, and, for kCompareSwap, `operand` when `old` equals
+/// `cond` and nothing (no store) when it does not. The one rule every
+/// library's atomics apply, whether a NIC, an AM handler or a mutex-guarded
+/// read-modify-write runs them.
+constexpr std::optional<std::uint64_t> apply_amo(AmoOp op, std::uint64_t old,
+                                                 std::uint64_t operand,
+                                                 std::uint64_t cond) {
+  switch (op) {
+    case AmoOp::kSwap: return operand;
+    case AmoOp::kCompareSwap:
+      if (old == cond) return operand;
+      return std::nullopt;
+    case AmoOp::kFetchAdd: return old + operand;
+    case AmoOp::kFetchAnd: return old & operand;
+    case AmoOp::kFetchOr: return old | operand;
+    case AmoOp::kFetchXor: return old ^ operand;
+  }
+  return std::nullopt;
+}
 
 /// One record of a scatter (write-combining) put: `len` payload bytes
 /// starting at `payload_off` in the packed payload land at `dst_off` in the
@@ -278,6 +301,14 @@ class Domain {
   void barrier(const ActiveSet& peers, std::uint64_t flag_off,
                std::int64_t gen, bool pipelined, const char* block_op);
 
+  /// The PE whose fiber is running: the rank every library's my_pe() /
+  /// mynode() / me() reports. Must be called from a PE fiber.
+  int current_pe() const {
+    const sim::Fiber* f = engine_.current_fiber();
+    assert(f != nullptr && "fabric operations require a PE fiber context");
+    return f->pe();
+  }
+
   /// Bumps and returns the calling PE's whole-domain barrier generation,
   /// the value a barrier on the flags at [0, kBarrierBytes) waits for.
   std::int64_t next_barrier_gen() {
@@ -311,7 +342,6 @@ class Domain {
     bool run();
   };
 
-  int current_pe() const;
   void note_outstanding(int src_pe, sim::Time t);
   /// Resumes, at time `t`, every fiber waiting on a word of `pe`'s segment
   /// that overlaps [off, off+len), and drops them from the wait list.
@@ -541,6 +571,24 @@ class Domain {
   };
   std::vector<std::vector<Watcher>> watchers_;  ///< per PE, in block order
   std::vector<BarrierStep> barrier_;            ///< per PE
+
+  /// One PE's AMO in flight: what its read-modify-write event applies, and
+  /// the fetched value it leaves for the issuer. The issuing fiber blocks
+  /// until the reply, so a PE has at most one.
+  struct AmoSlot {
+    AmoOp op;
+    int dst_pe;
+    std::uint64_t dst_off;
+    std::uint64_t operand;
+    std::uint64_t cond;
+    std::uint64_t fetched;
+    sim::Fiber* fiber;
+  };
+  /// amo()'s two events (the RMW at the target, the reply at the issuer),
+  /// as raw calls on the issuer's slot: `pe` indexes amo_, `t` is the time.
+  static void amo_rmw(void* ctx, std::uint64_t pe, std::uint64_t t);
+  static void amo_reply(void* ctx, std::uint64_t pe, std::uint64_t t);
+  std::vector<AmoSlot> amo_;  ///< per PE, sized on the first AMO
 };
 
 }  // namespace fabric

@@ -29,11 +29,7 @@ void World::launch(std::function<void()> node_main) {
   }
 }
 
-int World::mynode() const {
-  sim::Fiber* f = engine_.current_fiber();
-  assert(f != nullptr && "gasnet calls require a node fiber context");
-  return f->pe();
-}
+int World::mynode() const { return domain_->current_pe(); }
 
 void World::put(int node, std::uint64_t dst_off, const void* src,
                 std::size_t n) {

@@ -20,11 +20,7 @@ void Window::launch(std::function<void()> rank_main) {
   for (int r = 0; r < size(); ++r) engine_.spawn(r, rank_main);
 }
 
-int Window::rank() const {
-  sim::Fiber* f = engine_.current_fiber();
-  assert(f != nullptr);
-  return f->pe();
-}
+int Window::rank() const { return domain_->current_pe(); }
 
 void Window::put(const void* origin, std::size_t n, int target_rank,
                  std::uint64_t target_off) {
@@ -45,11 +41,11 @@ void Window::put_scatter(const fabric::ScatterRec* recs, std::size_t nrecs,
                        /*pipelined=*/false);
 }
 
-std::int64_t Window::fetch_and_op_sum(std::int64_t operand, int target_rank,
-                                      std::uint64_t target_off) {
-  return static_cast<std::int64_t>(
-      domain_->amo(fabric::AmoOp::kFetchAdd, target_rank, target_off,
-                   static_cast<std::uint64_t>(operand)));
+std::int64_t Window::fetch_and_op(fabric::AmoOp op, std::int64_t operand,
+                                  int target_rank, std::uint64_t target_off) {
+  assert(op != fabric::AmoOp::kCompareSwap && "use compare_and_swap");
+  return static_cast<std::int64_t>(domain_->amo(
+      op, target_rank, target_off, static_cast<std::uint64_t>(operand)));
 }
 
 std::int64_t Window::compare_and_swap(std::int64_t compare, std::int64_t value,
@@ -59,34 +55,6 @@ std::int64_t Window::compare_and_swap(std::int64_t compare, std::int64_t value,
       domain_->amo(fabric::AmoOp::kCompareSwap, target_rank, target_off,
                    static_cast<std::uint64_t>(value),
                    static_cast<std::uint64_t>(compare)));
-}
-
-std::int64_t Window::fetch_and_op_replace(std::int64_t value, int target_rank,
-                                          std::uint64_t target_off) {
-  return static_cast<std::int64_t>(
-      domain_->amo(fabric::AmoOp::kSwap, target_rank, target_off,
-                   static_cast<std::uint64_t>(value)));
-}
-
-std::int64_t Window::fetch_and_op_band(std::int64_t mask, int target_rank,
-                                       std::uint64_t target_off) {
-  return static_cast<std::int64_t>(
-      domain_->amo(fabric::AmoOp::kFetchAnd, target_rank, target_off,
-                   static_cast<std::uint64_t>(mask)));
-}
-
-std::int64_t Window::fetch_and_op_bor(std::int64_t mask, int target_rank,
-                                      std::uint64_t target_off) {
-  return static_cast<std::int64_t>(
-      domain_->amo(fabric::AmoOp::kFetchOr, target_rank, target_off,
-                   static_cast<std::uint64_t>(mask)));
-}
-
-std::int64_t Window::fetch_and_op_bxor(std::int64_t mask, int target_rank,
-                                       std::uint64_t target_off) {
-  return static_cast<std::int64_t>(
-      domain_->amo(fabric::AmoOp::kFetchXor, target_rank, target_off,
-                   static_cast<std::uint64_t>(mask)));
 }
 
 void Window::flush_all() { domain_->quiet(); }

@@ -52,22 +52,13 @@ class Window {
   void put_scatter(const fabric::ScatterRec* recs, std::size_t nrecs,
                    const void* payload, std::size_t payload_bytes,
                    int target_rank);
-  /// MPI_Fetch_and_op(MPI_SUM) on a 64-bit target.
-  std::int64_t fetch_and_op_sum(std::int64_t operand, int target_rank,
-                                std::uint64_t target_off);
+  /// MPI_Fetch_and_op on a 64-bit target: kSwap is MPI_REPLACE, kFetchAdd
+  /// MPI_SUM, and kFetchAnd/kFetchOr/kFetchXor MPI_BAND/MPI_BOR/MPI_BXOR.
+  std::int64_t fetch_and_op(fabric::AmoOp op, std::int64_t operand,
+                            int target_rank, std::uint64_t target_off);
   /// MPI_Compare_and_swap on a 64-bit target.
   std::int64_t compare_and_swap(std::int64_t compare, std::int64_t value,
                                 int target_rank, std::uint64_t target_off);
-  /// MPI_Fetch_and_op(MPI_REPLACE): atomic swap.
-  std::int64_t fetch_and_op_replace(std::int64_t value, int target_rank,
-                                    std::uint64_t target_off);
-  /// MPI_Fetch_and_op(MPI_BAND / MPI_BOR / MPI_BXOR).
-  std::int64_t fetch_and_op_band(std::int64_t mask, int target_rank,
-                                 std::uint64_t target_off);
-  std::int64_t fetch_and_op_bor(std::int64_t mask, int target_rank,
-                                std::uint64_t target_off);
-  std::int64_t fetch_and_op_bxor(std::int64_t mask, int target_rank,
-                                 std::uint64_t target_off);
   /// MPI_Win_flush_all: all outstanding RMA from this rank complete.
   void flush_all();
   /// Collective window-memory allocation (MPI_Win_allocate_shared style

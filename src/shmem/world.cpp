@@ -47,11 +47,7 @@ void World::launch(std::function<void()> pe_main) {
   }
 }
 
-int World::my_pe() const {
-  sim::Fiber* f = engine_.current_fiber();
-  assert(f != nullptr && "shmem calls require a PE fiber context");
-  return f->pe();
-}
+int World::my_pe() const { return domain_->current_pe(); }
 
 std::uint64_t World::sym_off(const void* ptr, const char* what) const {
   const auto* base = domain_->segment(my_pe());

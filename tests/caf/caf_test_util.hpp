@@ -31,10 +31,14 @@ inline const char* to_string(Stack s) {
 
 class Harness {
  public:
+  /// `cores_per_node` > 0 replaces the machine's node size in the Fabric
+  /// (to put a few images on several nodes); the library's SwProfile, which
+  /// the collectives engine reads, keeps the machine's.
   Harness(Stack stack, int images, caf::Options opts = {},
-          std::size_t heap = 2 << 20, net::FaultPlan plan = {})
+          std::size_t heap = 2 << 20, net::FaultPlan plan = {},
+          int cores_per_node = 0)
       : stack_(stack),
-        fabric_(net::machine_profile(machine(stack)), images) {
+        fabric_(profile(stack, cores_per_node), images) {
     if (plan.active()) {
       // Detector/retransmit tunables flow Options -> plan -> injector; the
       // CAF_FD_* environment family then overrides either source.
@@ -88,6 +92,12 @@ class Harness {
                    s == Stack::kMpi3
                ? net::Machine::kStampede
                : net::Machine::kXC30;
+  }
+
+  static net::MachineProfile profile(Stack s, int cores_per_node) {
+    net::MachineProfile mp = net::machine_profile(machine(s));
+    if (cores_per_node > 0) mp.cores_per_node = cores_per_node;
+    return mp;
   }
 
   caf::Runtime& rt() { return *rt_; }

@@ -8,8 +8,11 @@
 // the loss invisible (same data lands, only timing differs).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <ostream>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -198,7 +201,7 @@ TEST_P(ConduitConformance, AtomicsAreLinearizable) {
     std::memset(c.segment(c.rank()) + off, 0, 16);
     c.barrier();
     // fadd: fetched values must be a permutation of partial sums.
-    const std::int64_t fetched = c.amo_fadd(0, off, 1);
+    const std::int64_t fetched = c.amo(AmoOp::kFetchAdd, 0, off, 1);
     EXPECT_GE(fetched, 0);
     EXPECT_LT(fetched, 8);
     c.barrier();
@@ -210,14 +213,16 @@ TEST_P(ConduitConformance, AtomicsAreLinearizable) {
     static int winners;
     if (c.rank() == 0) winners = 0;
     c.barrier();
-    if (c.amo_cswap(0, off + 8, 0, c.rank() + 1) == 0) ++winners;
+    if (c.amo(AmoOp::kCompareSwap, 0, off + 8, c.rank() + 1, 0) == 0) {
+      ++winners;
+    }
     c.barrier();
     if (c.rank() == 0) {
       EXPECT_EQ(winners, 1);
     }
     // swap returns the previous value.
     if (c.rank() == 0) {
-      const std::int64_t prev = c.amo_swap(1, off, -9);
+      const std::int64_t prev = c.amo(AmoOp::kSwap, 1, off, -9);
       std::int64_t now = 0;
       std::memcpy(&now, c.segment(1) + off, sizeof now);
       EXPECT_EQ(now, -9);
@@ -235,12 +240,35 @@ TEST_P(ConduitConformance, BitwiseAtomics) {
     std::memset(c.segment(c.rank()) + off, 0, 8);
     c.barrier();
     if (c.rank() == 0) {
-      EXPECT_EQ(c.amo_for(1, off, 0b1100), 0);
-      EXPECT_EQ(c.amo_fand(1, off, 0b0110), 0b1100);
-      EXPECT_EQ(c.amo_fxor(1, off, 0b0011), 0b0100);
+      EXPECT_EQ(c.amo(AmoOp::kFetchOr, 1, off, 0b1100), 0);
+      EXPECT_EQ(c.amo(AmoOp::kFetchAnd, 1, off, 0b0110), 0b1100);
+      EXPECT_EQ(c.amo(AmoOp::kFetchXor, 1, off, 0b0011), 0b0100);
       std::int64_t v = 0;
       std::memcpy(&v, c.segment(1) + off, sizeof v);
       EXPECT_EQ(v, 0b0111);
+    }
+    c.barrier();
+  });
+}
+
+// A compare-and-swap whose condition does not hold returns the old value
+// and leaves the word as it was, whether a NIC, an AM handler or ARMCI's
+// mutex emulation (which writes the old value back) runs it.
+TEST_P(ConduitConformance, FailingCompareAndSwapLeavesTheWord) {
+  Harness h = make(2);
+  h.run([&] {
+    Conduit& c = conduit(h);
+    const std::uint64_t off = c.allocate(8);
+    const std::int64_t start = 41;
+    std::memcpy(c.segment(c.rank()) + off, &start, sizeof start);
+    c.barrier();
+    if (c.rank() == 0) {
+      EXPECT_EQ(c.amo(AmoOp::kCompareSwap, 1, off, /*operand=*/7,
+                      /*cond=*/40),
+                41);
+      std::int64_t v = 0;
+      c.get(&v, 1, off, sizeof v);
+      EXPECT_EQ(v, 41);
     }
     c.barrier();
   });
@@ -417,4 +445,90 @@ TEST(ConduitTracker, PendingIsExactForDenseAndSparseTargetsAt4096Images) {
         c.barrier();
       },
       /*auto_init=*/false);
+}
+
+// Exact work counters of the conduit layer: on every conduit, four images
+// on two nodes each run a fixed script against a same-node and an
+// other-node peer: a blocking and an nbi put, a get, a strided put and get,
+// all six AMOs and one compare-and-swap that fails. The event and switch
+// counts and the final clock are the simulated schedule and must never
+// move; the values were measured before the conduits shared one base over
+// their fabric::Domain.
+struct ConduitCase {
+  const char* name;
+  Stack stack;
+  std::uint64_t events;
+  std::uint64_t switches;
+  sim::Time end;
+};
+
+// Prints a case by its name: gtest's default byte dump would put the
+// address of `name` into the test name, which moves run to run.
+void PrintTo(const ConduitCase& c, std::ostream* os) { *os << c.name; }
+
+class ConduitWorkCounters : public ::testing::TestWithParam<ConduitCase> {};
+
+constexpr ConduitCase kConduitCases[] = {
+    {"Shmem", Stack::kShmemCray, 377, 136, 31'310},
+    {"Gasnet", Stack::kGasnet, 664, 288, 65'927},
+    {"Armci", Stack::kArmci, 1'209, 480, 160'011},
+    {"Mpi3", Stack::kMpi3, 656, 248, 103'571},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Conduits, ConduitWorkCounters, ::testing::ValuesIn(kConduitCases),
+    [](const ::testing::TestParamInfo<ConduitCase>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST_P(ConduitWorkCounters, AreExact) {
+  constexpr int kImages = 4;
+  const ConduitCase& cc = GetParam();
+  Harness h(cc.stack, kImages, {}, 2 << 20, {}, /*cores_per_node=*/2);
+  sim::Time end = 0;
+  h.run(
+      [&] {
+        Conduit& c = conduit(h);
+        c.post_init();  // ARMCI's emulation mutex; a no-op elsewhere
+        const std::uint64_t off = c.allocate(kImages * 512);
+        const int me = c.rank();
+        const std::uint64_t mine = off + static_cast<std::uint64_t>(me) * 512;
+        std::vector<std::int64_t> src(16);
+        std::iota(src.begin(), src.end(), me * 100);
+        std::vector<std::int64_t> back(8, -1);
+        c.barrier();
+        for (const int t : {me ^ 1, (me + 2) % kImages}) {
+          std::int64_t v = 7 + me;
+          c.put(t, mine, &v, sizeof v, /*nbi=*/false);
+          c.put(t, mine + 64, src.data(), 64, /*nbi=*/true);
+          c.quiet();
+          v = 0;
+          c.get(&v, t, mine, sizeof v);
+          EXPECT_EQ(v, 7 + me);
+          c.iput(t, mine + 128, /*dst_stride=*/2, src.data(), /*src_stride=*/1,
+                 sizeof(std::int64_t), 8);
+          c.quiet();
+          c.iget(back.data(), 1, t, mine + 128, /*src_stride=*/2,
+                 sizeof(std::int64_t), 8);
+          EXPECT_EQ(back[7], src[7]);
+          const std::uint64_t w = mine + 384;
+          EXPECT_EQ(c.amo(AmoOp::kSwap, t, w, 5), 0);
+          EXPECT_EQ(c.amo(AmoOp::kCompareSwap, t, w, 12, 5), 5);
+          EXPECT_EQ(c.amo(AmoOp::kFetchAdd, t, w, 3), 12);
+          EXPECT_EQ(c.amo(AmoOp::kFetchAnd, t, w, 6), 15);
+          EXPECT_EQ(c.amo(AmoOp::kFetchOr, t, w, 9), 6);
+          EXPECT_EQ(c.amo(AmoOp::kFetchXor, t, w, 5), 15);
+          // Fails: the word is 10.
+          EXPECT_EQ(c.amo(AmoOp::kCompareSwap, t, w, 1, 99), 10);
+          c.get(&v, t, w, sizeof v);
+          EXPECT_EQ(v, 10);
+        }
+        c.barrier();
+        end = std::max(end, h.engine().now());
+      },
+      /*auto_init=*/false);
+  const sim::EngineStats st = h.engine().stats();
+  EXPECT_EQ(st.events, cc.events);
+  EXPECT_EQ(st.switches, cc.switches);
+  EXPECT_EQ(end, cc.end);
 }

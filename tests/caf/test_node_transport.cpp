@@ -86,8 +86,8 @@ TEST(NodeTransport, SingleNodeRunElidesEveryFabricMessage) {
         std::int64_t got = 0;
         for (int i = 0; i < 3; ++i) c.get(&got, 1, off, sizeof got);
         EXPECT_EQ(got, 42);
-        (void)c.amo_fadd(2, off, 7);
-        (void)c.amo_fadd(2, off, 7);
+        (void)c.amo(AmoOp::kFetchAdd, 2, off, 7);
+        (void)c.amo(AmoOp::kFetchAdd, 2, off, 7);
         EXPECT_EQ(obs::registry().value(0, "node.puts"), puts0 + 5);
         EXPECT_EQ(obs::registry().value(0, "node.gets"), gets0 + 3);
         EXPECT_EQ(obs::registry().value(0, "node.amos"), amos0 + 2);
@@ -182,7 +182,7 @@ TEST_P(NodeConformance, RingPutsAmoFanInAndCoSumMatch) {
     EXPECT_EQ(left_val, (me + images - 1) % images);
 
     // AMO fan-in onto rank 0's accumulator.
-    (void)c.amo_fadd(0, off + 64, me + 1);
+    (void)c.amo(AmoOp::kFetchAdd, 0, off + 64, me + 1);
     c.barrier();
     if (me == 0) {
       std::int64_t acc = 0;
@@ -292,7 +292,7 @@ std::uint64_t traced_run_hash(bool transport_on, std::uint64_t* elided_out) {
         c.put((me + 1) % images, off + 8 * static_cast<std::uint64_t>(round),
               &v, sizeof v, /*nbi=*/true);
         c.quiet();
-        (void)c.amo_fadd((me + 5) % images, off + 64, 1);
+        (void)c.amo(AmoOp::kFetchAdd, (me + 5) % images, off + 64, 1);
         std::int64_t s = me;
         rt.co_sum(&s, 1);
       }

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -308,6 +309,33 @@ TEST(Domain, OutOfRangeAccessThrows) {
                  std::out_of_range);
   });
   hw.engine.run();
+}
+
+// The one AMO rule: every op's stored value over the same old word, and a
+// compare-and-swap that stores only when the condition holds.
+TEST(ApplyAmo, StoresEachOpsValue) {
+  constexpr std::uint64_t kOld = 0b1100;
+  struct Row {
+    AmoOp op;
+    std::uint64_t operand;
+    std::uint64_t cond;
+    std::optional<std::uint64_t> stored;
+  };
+  const Row rows[] = {
+      {AmoOp::kSwap, 7, 0, 7},
+      {AmoOp::kCompareSwap, 7, kOld, 7},                 // condition holds
+      {AmoOp::kCompareSwap, 7, kOld + 1, std::nullopt},  // fails: no store
+      {AmoOp::kFetchAdd, 5, 0, kOld + 5},
+      {AmoOp::kFetchAdd, ~std::uint64_t{0}, 0, kOld - 1},  // adds -1
+      {AmoOp::kFetchAnd, 0b0110, 0, 0b0100},
+      {AmoOp::kFetchOr, 0b0011, 0, 0b1111},
+      {AmoOp::kFetchXor, 0b0110, 0, 0b1010},
+  };
+  for (const Row& r : rows) {
+    EXPECT_EQ(apply_amo(r.op, kOld, r.operand, r.cond), r.stored)
+        << "op " << static_cast<int>(r.op) << " operand " << r.operand;
+  }
+  static_assert(apply_amo(AmoOp::kFetchAdd, 1, 2, 0) == 3u);
 }
 
 // Exact work counters of every Domain operation: a fixed script of put,

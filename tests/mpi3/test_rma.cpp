@@ -64,7 +64,7 @@ TEST(Mpi3, GetRoundTrip) {
 TEST(Mpi3, FetchAndOpAccumulates) {
   Harness h(16);
   h.run([&] {
-    (void)h.win.fetch_and_op_sum(2, 0, kOff);
+    (void)h.win.fetch_and_op(fabric::AmoOp::kFetchAdd, 2, 0, kOff);
     h.win.barrier();
     if (h.win.rank() == 0) {
       std::int64_t v = 0;
